@@ -33,17 +33,50 @@ from .nn import (
 
 @dataclass
 class Graph:
-    """Undirected simple graph; edges stored as (min, max) id pairs."""
+    """Undirected simple graph on nodes 0..n_nodes-1.
+
+    `edges` is a sorted, unique int64 array holding one key lo * n_nodes + hi
+    per edge, lo < hi. The constructor builds it from any iterable of (u, v)
+    pairs; only has_edge and pairs read the key layout.
+    """
 
     n_nodes: int
-    edges: set
+    edges: np.ndarray
+
+    def __post_init__(self):
+        self.n_nodes = int(self.n_nodes)
+        pairs = np.asarray(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if np.any(lo == hi) or np.any(lo < 0) or np.any(hi >= self.n_nodes):
+            raise DataError(f"edges must join two distinct nodes in 0..{self.n_nodes - 1}")
+        keys = np.sort(self._key(lo, hi))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self.edges = keys[first]
 
     @property
     def n_edges(self):
         return len(self.edges)
 
+    def _key(self, u, v):
+        return np.minimum(u, v) * self.n_nodes + np.maximum(u, v)
+
     def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
+        """Elementwise edge test for node ids or arrays of them, in either order."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        keys = self._key(u, v)
+        if not len(self.edges):
+            return np.zeros(keys.shape, dtype=bool)
+        idx = np.minimum(np.searchsorted(self.edges, keys), len(self.edges) - 1)
+        # the range test keeps ids outside the graph from aliasing another pair's key
+        inside = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < self.n_nodes)
+        return (self.edges[idx] == keys) & inside
+
+    def pairs(self):
+        """The edges as (lo, hi) int tuples in ascending order."""
+        lo, hi = np.divmod(self.edges, self.n_nodes)
+        return list(zip(lo.tolist(), hi.tolist()))
 
 
 def load_edge_list(path):
@@ -55,7 +88,7 @@ def load_edge_list(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    edges = set()
+    edges = []
     max_id = -1
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
@@ -72,7 +105,7 @@ def load_edge_list(path):
             raise DataError(f"{path} line {lineno}: negative node id")
         if u == v:
             raise DataError(f"{path} line {lineno}: self-loop at node {u}")
-        edges.add((min(u, v), max(u, v)))
+        edges.append((u, v))
         max_id = max(max_id, u, v)
     if not edges:
         raise DataError(f"{path}: no edges")
@@ -121,25 +154,46 @@ def load_node_labels(path, n_nodes=None):
     return NodeLabels(labels=labels, n_classes=max_label + 1)
 
 
-def sample_non_edges(graph, count, rng, exclude=(), tries_per_sample=2000):
+def _draw_non_edges(graph, count, rng, budget, distinct):
+    """Up to count non-edges by rejection, as (k, 2) canonical pairs in draw order.
+
+    A try draws (u, v) = rng.integers(0, n_nodes, size=2) and keeps
+    (min, max) unless u == v, the pair is an edge, or (with distinct) it was
+    kept before. Each round draws the tries still missing as one
+    (missing, 2) block, which yields the values and leaves the RNG state of
+    that many single tries; at most `missing` of them can be kept, so no
+    round draws past the try at which a one-at-a-time loop would stop. After
+    `budget` tries fewer than count pairs come back.
+    """
+    out = np.empty((count, 2), dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)
+    filled = tries = 0
+    while filled < count and tries < budget:
+        draws = rng.integers(0, graph.n_nodes, size=(min(count - filled, budget - tries), 2))
+        tries += len(draws)
+        lo, hi = draws.min(axis=1), draws.max(axis=1)
+        keep = (lo != hi) & ~graph.has_edge(lo, hi)
+        if distinct:
+            # a candidate survives when it is the first of its key after all kept ones
+            cand = np.flatnonzero(keep)
+            keys = np.concatenate([seen, graph._key(lo[cand], hi[cand])])
+            order = np.argsort(keys, kind="stable")
+            first = np.ones(len(keys), dtype=bool)
+            first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
+            keep[cand] = first[len(seen):]
+            seen = keys[first]
+        kept = np.flatnonzero(keep)
+        out[filled : filled + len(kept)] = np.column_stack((lo[kept], hi[kept]))
+        filled += len(kept)
+    return out[:filled]
+
+
+def sample_non_edges(graph, count, rng, tries_per_sample=2000):
     """Uniform distinct non-edges by rejection against the full edge set."""
-    seen = set(exclude)
-    out = []
-    budget = tries_per_sample * max(count, 1)
-    tries = 0
-    while len(out) < count:
-        if tries >= budget:
-            raise DataError("could not sample enough non-edges: graph too dense")
-        tries += 1
-        u, v = rng.integers(0, graph.n_nodes, size=2)
-        if u == v:
-            continue
-        pair = (int(min(u, v)), int(max(u, v)))
-        if pair in graph.edges or pair in seen:
-            continue
-        seen.add(pair)
-        out.append(pair)
-    return out
+    pairs = _draw_non_edges(graph, count, rng, tries_per_sample * max(count, 1), distinct=True)
+    if len(pairs) < count:
+        raise DataError("could not sample enough non-edges: graph too dense")
+    return [tuple(pair) for pair in pairs.tolist()]
 
 
 def split_edges(graph, test_frac, seed):
@@ -151,9 +205,14 @@ def split_edges(graph, test_frac, seed):
     """
     if not 0.0 < test_frac < 1.0:
         raise ConfigError(f"test_frac must lie in (0, 1), got {test_frac}")
-    rng = np.random.default_rng(seed)
-    edges = sorted(graph.edges)
+    edges = graph.pairs()
     n_test = int(round(test_frac * len(edges)))
+    if n_test in (0, len(edges)):
+        raise DataError(
+            f"test_frac {test_frac} holds out {n_test} of {len(edges)} edges;"
+            " the split needs at least one test edge and one training edge"
+        )
+    rng = np.random.default_rng(seed)
     test_mask = np.zeros(len(edges), dtype=bool)
     test_mask[rng.choice(len(edges), size=n_test, replace=False)] = True
     test_pos = [edges[i] for i in np.flatnonzero(test_mask)]
@@ -180,23 +239,10 @@ def sample_pair_batch(train_edges, graph, m, rng):
         raise DataError("no training edges to sample from")
     edges_arr = np.asarray(train_edges, dtype=np.int64)
     pos = edges_arr[rng.integers(0, len(edges_arr), size=m)]
-    neg = np.empty((m, 2), dtype=np.int64)
-    budget = 2000 * m
-    tries = 0
-    filled = 0
-    while filled < m:
-        if tries >= budget:
-            raise TrainingError("negative pair sampling exceeded its rejection budget")
-        tries += 1
-        u, v = rng.integers(0, graph.n_nodes, size=2)
-        if u == v:
-            continue
-        pair = (int(min(u, v)), int(max(u, v)))
-        if pair in graph.edges:
-            continue
-        neg[filled] = pair
-        filled += 1
-    assert not any((int(a), int(b)) in graph.edges for a, b in neg)
+    neg = _draw_non_edges(graph, m, rng, 2000 * m, distinct=False)
+    if len(neg) < m:
+        raise TrainingError("negative pair sampling exceeded its rejection budget")
+    assert not graph.has_edge(neg[:, 0], neg[:, 1]).any()
     return PairBatch(pos=pos, neg=neg)
 
 
@@ -332,6 +378,7 @@ def train_graph(config, graph, train_edges, dim=20, gen_hidden=(64, 32, 32)):
     rng_init_g = np.random.default_rng(seeds[1])
     rng_batches = np.random.default_rng(seeds[2])
     disc, gen = init_graph_models(graph.n_nodes, dim, gen_hidden, rng_init_d, rng_init_g)
+    train_edges = np.asarray(train_edges, dtype=np.int64)
     trace = TrainTrace()
     for i in range(config.pretrain_iters):
         batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
@@ -370,10 +417,10 @@ def _fit_predict_logistic(x_train, y_train, x_test, iters, lr):
     params = MlpParams([Layer(np.zeros((x_train.shape[1], 1)), np.zeros(1), "identity")])
     n = len(x_train)
     for _ in range(iters):
-        acts = forward(params, x_train)
-        s = acts[-1][:, 0]
-        grads, _ = backward(params, acts, ((y_train - sigmoid(s)) / n)[:, None])
-        params = sgd_step(params, grads, lr, "ascent")
+        s = forward(params, x_train)[-1][:, 0]
+        # backward() for one identity layer, without the unused input gradient
+        delta = ((y_train - sigmoid(s)) / n)[:, None]
+        params = sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], lr, "ascent")
     return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
 
 

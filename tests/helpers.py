@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from advclf.errors import ConfigError, DataError, TrainingError
+from advclf.graph import PairBatch
 from advclf.metrics import evaluate_binary
 from advclf.nn import finite_difference_grad
 
@@ -73,3 +75,69 @@ def check_backward_vs_fd(params, loss_and_grads, epsilon=1e-5):
     _, grads = loss_and_grads(params)
     numeric = finite_difference_grad(lambda p: loss_and_grads(p)[0], params, epsilon=epsilon)
     return grad_rel_error(flatten_param_grads(grads), flatten_param_grads(numeric))
+
+
+# One-try-at-a-time samplers: advclf.graph's block sampler must reproduce
+# their pairs, their errors and the RNG state they leave, draw for draw.
+
+
+def sample_non_edges_loop(graph, count, rng, tries_per_sample=2000):
+    """Distinct non-edges, one rng.integers(0, n_nodes, size=2) try at a time."""
+    edges = set(graph.pairs())
+    seen = set()
+    out = []
+    budget = tries_per_sample * max(count, 1)
+    tries = 0
+    while len(out) < count:
+        if tries >= budget:
+            raise DataError("could not sample enough non-edges: graph too dense")
+        tries += 1
+        u, v = rng.integers(0, graph.n_nodes, size=2)
+        if u == v:
+            continue
+        pair = (int(min(u, v)), int(max(u, v)))
+        if pair in edges or pair in seen:
+            continue
+        seen.add(pair)
+        out.append(pair)
+    return out
+
+
+def split_edges_loop(graph, test_frac, seed):
+    """split_edges with its negatives drawn by sample_non_edges_loop."""
+    rng = np.random.default_rng(seed)
+    edges = sorted(graph.pairs())
+    n_test = int(round(test_frac * len(edges)))
+    test_mask = np.zeros(len(edges), dtype=bool)
+    test_mask[rng.choice(len(edges), size=n_test, replace=False)] = True
+    test_pos = [edges[i] for i in np.flatnonzero(test_mask)]
+    train_edges = [edges[i] for i in np.flatnonzero(~test_mask)]
+    return train_edges, test_pos, sample_non_edges_loop(graph, n_test, rng)
+
+
+def sample_pair_batch_loop(train_edges, graph, m, rng):
+    """m training edges with replacement, then non-edge draws one try at a time."""
+    if m < 1:
+        raise ConfigError("batch size must be >= 1")
+    if not len(train_edges):
+        raise DataError("no training edges to sample from")
+    edges = set(graph.pairs())
+    edges_arr = np.asarray(train_edges, dtype=np.int64)
+    pos = edges_arr[rng.integers(0, len(edges_arr), size=m)]
+    neg = np.empty((m, 2), dtype=np.int64)
+    budget = 2000 * m
+    tries = 0
+    filled = 0
+    while filled < m:
+        if tries >= budget:
+            raise TrainingError("negative pair sampling exceeded its rejection budget")
+        tries += 1
+        u, v = rng.integers(0, graph.n_nodes, size=2)
+        if u == v:
+            continue
+        pair = (int(min(u, v)), int(max(u, v)))
+        if pair in edges:
+            continue
+        neg[filled] = pair
+        filled += 1
+    return PairBatch(pos=pos, neg=neg)

@@ -378,6 +378,19 @@ def test_graph_missing_edges_file_exits_1(capsys, tmp_path):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("test_frac,held_out", [("0.01", 0), ("0.99", 30)])
+def test_graph_test_frac_without_test_or_training_edges_exits_1(capsys, tmp_path, test_frac,
+                                                               held_out):
+    """The split fails before training: 30 clique edges hold out none or all of them."""
+    edges = tmp_path / "edges.txt"
+    write_clique_edges(edges)
+    argv = ["graph", "--edges", str(edges)] + GRAPH_ARGS + ["--test-frac", test_frac]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"holds out {held_out} of 30 edges" in err
+
+
 # --- presets ---
 
 

@@ -32,6 +32,7 @@ from advclf.graph import (
     train_graph,
 )
 from advclf.nn import Layer, MlpParams
+from helpers import sample_non_edges_loop, sample_pair_batch_loop, split_edges_loop
 
 
 def two_cliques(size=5):
@@ -40,6 +41,52 @@ def two_cliques(size=5):
     for block in (range(size), range(size, 2 * size)):
         edges.update(itertools.combinations(block, 2))
     return Graph(n_nodes=2 * size, edges=edges)
+
+
+def path_graph(n=6):
+    return Graph(n_nodes=n, edges=[(i, i + 1) for i in range(n - 1)])
+
+
+# --- the edge-key layout ---
+
+
+def test_graph_edges_are_sorted_unique_keys():
+    g = Graph(n_nodes=5, edges=[(3, 1), (0, 4), (1, 3), (2, 0)])
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [0 * 5 + 2, 0 * 5 + 4, 1 * 5 + 3]
+    assert g.n_edges == 3
+    assert g.pairs() == [(0, 2), (0, 4), (1, 3)]
+    assert all(type(u) is int and type(v) is int for u, v in g.pairs())
+
+
+def test_graph_has_edge_scalar_and_vectorised():
+    g = Graph(n_nodes=5, edges=[(3, 1), (0, 4)])
+    assert g.has_edge(1, 3) and g.has_edge(3, 1) and g.has_edge(4, 0)
+    assert not g.has_edge(0, 1) and not g.has_edge(4, 4)
+    u = np.array([[1, 0], [2, 4]])
+    v = np.array([[3, 4], [2, 1]])
+    np.testing.assert_array_equal(g.has_edge(u, v), [[True, True], [False, False]])
+    # ids outside the graph are never edges, even where their key would alias one
+    assert not g.has_edge(-1, 9) and not g.has_edge(0, 8)  # keys 4 and 8: (0, 4), (1, 3)
+    every = np.array(list(itertools.product(range(5), repeat=2)))
+    hits = {(int(a), int(b)) for a, b in every[g.has_edge(every[:, 0], every[:, 1])]}
+    assert hits == {(1, 3), (3, 1), (0, 4), (4, 0)}
+
+
+@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 5)], [(-1, 2)]])
+def test_graph_rejects_pairs_outside_the_node_range(edges):
+    with pytest.raises(DataError, match="distinct nodes"):
+        Graph(n_nodes=5, edges=edges)
+
+
+def test_edgeless_graph():
+    g = sbm_graph([3, 3], 0.0, 0.0, seed=0)
+    assert g.n_nodes == 6 and g.n_edges == 0
+    assert g.pairs() == []
+    assert not g.has_edge(0, 1)
+    np.testing.assert_array_equal(g.has_edge(np.arange(5), np.arange(1, 6)), np.zeros(5, bool))
+    with pytest.raises(DataError, match="0 of 0 edges"):
+        split_edges(g, 0.5, seed=0)
 
 
 # --- loading ---
@@ -143,12 +190,6 @@ def test_sample_non_edges_path_graph():
     assert out == [(0, 2)]
 
 
-def test_sample_non_edges_respects_exclude():
-    g = Graph(n_nodes=3, edges={(0, 1), (1, 2)})
-    with pytest.raises(DataError, match="too dense"):
-        sample_non_edges(g, 1, np.random.default_rng(0), exclude=[(0, 2)], tries_per_sample=50)
-
-
 def test_sample_non_edges_dense_graph_fails():
     g = Graph(n_nodes=4, edges=set(itertools.combinations(range(4), 2)))
     with pytest.raises(DataError, match="too dense"):
@@ -160,13 +201,21 @@ def test_split_edges_partitions():
     train, test_pos, test_neg = split_edges(g, 0.25, seed=7)
     assert len(test_pos) == round(0.25 * g.n_edges)
     assert len(test_neg) == len(test_pos)
-    assert set(train) | set(test_pos) == g.edges
+    assert set(train) | set(test_pos) == set(g.pairs())
     assert set(train) & set(test_pos) == set()
-    assert all(pair not in g.edges for pair in test_neg)
+    assert not any(g.has_edge(u, v) for u, v in test_neg)
     assert len(set(test_neg)) == len(test_neg)
     # deterministic in the seed
     again = split_edges(g, 0.25, seed=7)
     assert again[0] == train and again[1] == test_pos and again[2] == test_neg
+
+
+def test_split_edges_fails_fast_without_test_or_training_edges():
+    g = two_cliques(3)  # 6 edges
+    with pytest.raises(DataError, match="holds out 0 of 6 edges"):
+        split_edges(g, 0.05, seed=0)
+    with pytest.raises(DataError, match="holds out 6 of 6 edges"):
+        split_edges(g, 0.95, seed=0)
 
 
 def test_split_edges_bad_frac():
@@ -178,17 +227,82 @@ def test_split_edges_bad_frac():
 
 def test_sample_pair_batch_counts_and_rejection():
     g = two_cliques(4)
-    train = sorted(g.edges)
+    train = g.pairs()
     batch = sample_pair_batch(train, g, 32, np.random.default_rng(1))
     assert batch.pos.shape == (32, 2) and batch.neg.shape == (32, 2)
-    assert all((int(u), int(v)) in g.edges for u, v in batch.pos)
-    assert all((int(u), int(v)) not in g.edges for u, v in batch.neg)
+    assert all((int(u), int(v)) in train for u, v in batch.pos)
+    assert all((int(u), int(v)) not in train for u, v in batch.neg)
+
+
+ORACLE_GRAPHS = {
+    "two_cliques": lambda: two_cliques(4),  # 12 of 28 pairs are edges: heavy rejection
+    "sbm": lambda: sbm_graph([20, 20], 0.4, 0.05, seed=3),
+    "path": lambda: path_graph(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("m", [1, 7, 512])
+def test_sample_pair_batch_matches_one_try_loop(name, m):
+    """Same pairs and same RNG state as drawing one try at a time, call after call."""
+    g = ORACLE_GRAPHS[name]()
+    train = g.pairs()
+    rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+    for _ in range(3):
+        batch = sample_pair_batch(train, g, m, rng)
+        expected = sample_pair_batch_loop(train, g, m, ref_rng)
+        np.testing.assert_array_equal(batch.pos, expected.pos)
+        np.testing.assert_array_equal(batch.neg, expected.neg)
+        assert batch.neg.dtype == np.int64
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_sample_non_edges_matches_one_try_loop(name):
+    g = ORACLE_GRAPHS[name]()
+    n_non_edges = g.n_nodes * (g.n_nodes - 1) // 2 - g.n_edges
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    # the last count asks for every non-edge of the small graphs, so late tries hit repeats
+    for count in (0, 1, 7, min(n_non_edges, 60)):
+        assert sample_non_edges(g, count, rng) == sample_non_edges_loop(g, count, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+@pytest.mark.parametrize("test_frac", [0.25, 0.5])
+def test_split_edges_matches_one_try_loop(name, test_frac):
+    g = ORACLE_GRAPHS[name]()
+    for seed in range(3):
+        assert split_edges(g, test_frac, seed) == split_edges_loop(g, test_frac, seed)
+
+
+@pytest.mark.parametrize(
+    "sampler,oracle,args,error",
+    [
+        # every pair is an edge
+        (sample_non_edges, sample_non_edges_loop,
+         (Graph(n_nodes=4, edges=itertools.combinations(range(4), 2)), 2), DataError),
+        # one non-edge, so a second distinct one never comes
+        (sample_non_edges, sample_non_edges_loop, (path_graph(3), 2), DataError),
+        (sample_pair_batch, sample_pair_batch_loop,
+         ([(0, 1)], Graph(n_nodes=3, edges=[(0, 1), (0, 2), (1, 2)]), 3), TrainingError),
+    ],
+)
+def test_samplers_exhaust_their_budget_like_the_loop(sampler, oracle, args, error):
+    """A budget failure raises the loop's error after the loop's number of draws."""
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(error) as got:
+        sampler(*args, rng)
+    with pytest.raises(error) as expected:
+        oracle(*args, ref_rng)
+    assert str(got.value) == str(expected.value)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sample_pair_batch_positive_frequencies_uniform():
     """Each training edge is drawn with replacement at the uniform rate."""
     g = sbm_graph([10, 10], 0.3, 0.1, seed=5)
-    train = sorted(g.edges)[:10]
+    train = g.pairs()[:10]
     n_draws = 20000
     batch = sample_pair_batch(train, g, n_draws, np.random.default_rng(2))
     pairs, counts = np.unique(batch.pos, axis=0, return_counts=True)
@@ -254,7 +368,7 @@ def test_graph_disc_step_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     g = two_cliques(3)
     disc, gen = init_graph_models(g.n_nodes, 3, (4,), rng, rng)
-    batch = sample_pair_batch(sorted(g.edges), g, 5, rng)
+    batch = sample_pair_batch(g.pairs(), g, 5, rng)
     cfg = TrainConfig(batch_size=5, gamma=0.11, eta_d=0.7)
     w = generator_pair_weights(gen, batch.neg)
     coeff = cfg.gamma * 5 * w
@@ -280,7 +394,7 @@ def test_graph_gen_step_gradient_matches_finite_differences():
     rng = np.random.default_rng(10)
     g = two_cliques(3)
     disc, gen = init_graph_models(g.n_nodes, 2, (3,), rng, rng)
-    neg = sample_pair_batch(sorted(g.edges), g, 4, rng).neg
+    neg = sample_pair_batch(g.pairs(), g, 4, rng).neg
     cfg = TrainConfig(batch_size=4, lam=0.2, eta_g=0.3)
     log1md = -np.logaddexp(0.0, pair_logits(disc, neg))
 
@@ -306,7 +420,7 @@ def test_graph_reduction_identity():
     rng = np.random.default_rng(12)
     g = two_cliques(4)
     disc, gen = init_graph_models(g.n_nodes, 3, (4,), rng, rng)
-    batch = sample_pair_batch(sorted(g.edges), g, 6, rng)
+    batch = sample_pair_batch(g.pairs(), g, 6, rng)
     cfg = TrainConfig(batch_size=6, gamma=1.0 / 6.0, eta_d=0.4)
     uniform = np.full(6, 1.0 / 6.0)
     d_adv, _ = graph_discriminator_step(cfg, disc, gen, batch, weights=uniform)
@@ -333,7 +447,7 @@ def test_init_graph_models_validation():
 def test_train_graph_learns_two_cliques():
     """Intra-block pairs must outscore cross pairs after training on the cliques."""
     g = two_cliques(5)
-    intra = sorted(g.edges)
+    intra = g.pairs()
     inter = [(u, v) for u in range(5) for v in range(5, 10)]
     cfg = TrainConfig(
         batch_size=16, pretrain_iters=400, train_iters=100,
@@ -351,8 +465,8 @@ def test_train_graph_learns_two_cliques():
 def test_train_graph_deterministic():
     g = two_cliques(4)
     cfg = TrainConfig(batch_size=8, pretrain_iters=10, train_iters=10, eta_g=1e-3, seed=3)
-    d1, g1, t1 = train_graph(cfg, g, sorted(g.edges), dim=4, gen_hidden=(4,))
-    d2, g2, t2 = train_graph(cfg, g, sorted(g.edges), dim=4, gen_hidden=(4,))
+    d1, g1, t1 = train_graph(cfg, g, g.pairs(), dim=4, gen_hidden=(4,))
+    d2, g2, t2 = train_graph(cfg, g, g.pairs(), dim=4, gen_hidden=(4,))
     np.testing.assert_array_equal(d1.embeddings, d2.embeddings)
     np.testing.assert_array_equal(g1.embeddings, g2.embeddings)
     assert d1.bias == d2.bias
@@ -362,7 +476,7 @@ def test_train_graph_deterministic():
 def test_train_graph_zero_iters_is_init():
     g = two_cliques(4)
     cfg = TrainConfig(batch_size=8, pretrain_iters=0, train_iters=0, seed=11)
-    disc, gen, trace = train_graph(cfg, g, sorted(g.edges), dim=4, gen_hidden=(4,))
+    disc, gen, trace = train_graph(cfg, g, g.pairs(), dim=4, gen_hidden=(4,))
     seeds = np.random.SeedSequence(11).spawn(3)
     exp_d, exp_g = init_graph_models(
         g.n_nodes, 4, (4,), np.random.default_rng(seeds[0]), np.random.default_rng(seeds[1])
@@ -388,14 +502,14 @@ def test_sbm_graph_extremes():
     g = sbm_graph([4, 4], 1.0, 0.0, seed=0)
     assert g.n_nodes == 8
     assert g.n_edges == 2 * 6  # two complete 4-blocks
-    assert not any(u < 4 <= v for u, v in g.edges)
+    assert not any(u < 4 <= v for u, v in g.pairs())
 
 
 def test_sbm_graph_deterministic_and_plausible():
     g1 = sbm_graph([30, 30], 0.3, 0.02, seed=42)
     g2 = sbm_graph([30, 30], 0.3, 0.02, seed=42)
-    assert g1.edges == g2.edges
-    within = sum(1 for u, v in g1.edges if (u < 30) == (v < 30))
+    assert g1.pairs() == g2.pairs()
+    within = sum(1 for u, v in g1.pairs() if (u < 30) == (v < 30))
     cross = g1.n_edges - within
     # expectations: 0.3 * 2 * C(30,2) = 261 within, 0.02 * 900 = 18 cross
     assert 180 < within < 340
