@@ -18,7 +18,9 @@ weights w (sum 1) and logits s:
 The negative coefficient gamma * m * w_i reads the weights relative to
 uniform, so gamma = 1/m with uniform weights reproduces a warm-up step
 exactly. All log terms route through the softplus forms on logits, never
-through probabilities.
+through probabilities. The objective lives once, in score space (_disc_terms,
+_normalized_weights, _gen_terms); graph.py reuses it with its own forward and
+backward passes.
 """
 
 from dataclasses import dataclass, field, replace
@@ -96,6 +98,14 @@ class TrainTrace:
     weight_max: list = field(default_factory=list)
     checkpoints: list = field(default_factory=list)
 
+    def record(self, d_loss, g_loss, w):
+        """Append one adversarial iteration's losses and weight statistics."""
+        self.d_loss.append(d_loss)
+        self.g_loss.append(g_loss)
+        self.weight_entropy.append(batch_weight_entropy(w))
+        self.weight_min.append(float(w.min()))
+        self.weight_max.append(float(w.max()))
+
 
 def init_discriminator(n_features, hidden=(), rng=None):
     rng = np.random.default_rng() if rng is None else rng
@@ -128,16 +138,21 @@ def generator_raw_weights(gen, x):
     return softplus(forward(gen.params, np.asarray(x, dtype=np.float64))[-1][:, 0])
 
 
+def _normalized_weights(t):
+    """softplus(t) / its sum, and that sum, from raw generator outputs t."""
+    raw = softplus(t)
+    total = raw.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise TrainingError("degenerate generator: raw batch weights underflowed to zero")
+    return raw / total, total
+
+
 def generator_batch_weights(gen, negatives):
     """Per-sample weights normalized to sum to 1 over the batch."""
     negatives = np.asarray(negatives, dtype=np.float64)
     if negatives.ndim != 2 or negatives.shape[0] == 0:
         raise ConfigError("negatives must be a nonempty 2-d batch")
-    raw = generator_raw_weights(gen, negatives)
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise TrainingError("degenerate generator: raw batch weights underflowed to zero")
-    return raw / total
+    return _normalized_weights(forward(gen.params, negatives)[-1][:, 0])[0]
 
 
 def batch_weight_entropy(weights):
@@ -145,24 +160,38 @@ def batch_weight_entropy(weights):
     return float(-np.sum(w * np.log(w)))
 
 
-def _disc_update(params, pos_batch, neg_batch, neg_coeff, eta_d):
-    """One ascent step on mean(log D(pos)) + sum(neg_coeff * log(1 - D(neg))).
+def _disc_terms(s_pos, s_neg, coeff):
+    """mean(log D(pos)) + sum(coeff * log(1 - D(neg))) and its gradients in the logits.
 
-    neg_coeff is held constant, so nothing here differentiates through the
-    generator.
+    coeff is held constant, so nothing differentiates through the generator.
     """
-    acts_pos = forward(params, pos_batch)
-    acts_neg = forward(params, neg_batch)
-    s_pos = acts_pos[-1][:, 0]
-    s_neg = acts_neg[-1][:, 0]
-    m_pos = len(s_pos)
-    loss = float(
-        np.mean(stable_log_sigmoid(s_pos)) + np.sum(neg_coeff * stable_log_one_minus_sigmoid(s_neg))
-    )
+    loss = float(np.mean(stable_log_sigmoid(s_pos)) + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg)))
     if not np.isfinite(loss):
         raise TrainingError("non-finite discriminator loss")
-    grads_pos, _ = backward(params, acts_pos, ((1.0 - sigmoid(s_pos)) / m_pos)[:, None])
-    grads_neg, _ = backward(params, acts_neg, (-neg_coeff * sigmoid(s_neg))[:, None])
+    return loss, (1.0 - sigmoid(s_pos)) / len(s_pos), -coeff * sigmoid(s_neg)
+
+
+def _gen_terms(t, log1m_d, lam):
+    """The G loss on w = _normalized_weights(t) and its gradient in t, with D held constant."""
+    w, total = _normalized_weights(t)
+    log_w = np.log(w)
+    loss = float(np.sum(w * log1m_d) + lam * np.sum(w * log_w))
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite generator loss")
+    # d loss / d raw_i: centered per-sample score divided by the batch total;
+    # the centering is exactly the normalization coupling.
+    score = log1m_d + lam * (1.0 + log_w)
+    centered = score - np.sum(w * score)
+    return loss, sigmoid(t) * centered / total
+
+
+def _disc_update(params, pos_batch, neg_batch, neg_coeff, eta_d):
+    """One ascent step of _disc_terms through the MLP."""
+    acts_pos = forward(params, pos_batch)
+    acts_neg = forward(params, neg_batch)
+    loss, g_pos, g_neg = _disc_terms(acts_pos[-1][:, 0], acts_neg[-1][:, 0], neg_coeff)
+    grads_pos, _ = backward(params, acts_pos, g_pos[:, None])
+    grads_neg, _ = backward(params, acts_neg, g_neg[:, None])
     grads = [(gw_p + gw_n, gb_p + gb_n) for (gw_p, gb_p), (gw_n, gb_n) in zip(grads_pos, grads_neg)]
     return sgd_step(params, grads, eta_d, "ascent"), loss
 
@@ -193,30 +222,12 @@ def discriminator_step(config, disc, gen, pos_batch, neg_batch, weights=None):
 
 
 def generator_step(config, disc, gen, neg_batch):
-    """One descent step on sum(w * log(1 - D)) + lam * sum(w * log w).
-
-    The gradient flows through the batch normalization of the weights;
-    discriminator outputs are constants here.
-    """
+    """One descent step of _gen_terms: sum(w * log(1 - D)) + lam * sum(w * log w)."""
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     log_one_minus_d = stable_log_one_minus_sigmoid(discriminator_logits(disc, neg_batch))
     acts = forward(gen.params, neg_batch)
-    t = acts[-1][:, 0]
-    raw = softplus(t)
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise TrainingError("degenerate generator: raw batch weights underflowed to zero")
-    w = raw / total
-    log_w = np.log(w)
-    loss = float(np.sum(w * log_one_minus_d) + config.lam * np.sum(w * log_w))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite generator loss")
-    # d loss / d raw_i: centered per-sample score divided by the batch total;
-    # the centering is exactly the normalization coupling.
-    score = log_one_minus_d + config.lam * (1.0 + log_w)
-    centered = score - np.sum(w * score)
-    out_grad = (sigmoid(t) * centered / total)[:, None]
-    grads, _ = backward(gen.params, acts, out_grad)
+    loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
+    grads, _ = backward(gen.params, acts, out_grad[:, None])
     return Generator(sgd_step(gen.params, grads, config.eta_g, "descent")), loss
 
 
@@ -240,18 +251,21 @@ def pretrain_discriminator(config, data, disc, rng=None):
     return disc, trace
 
 
-def train(config, data, disc_spec=(), gen_spec=(64, 32, 32), checkpoint_every=0, checkpoint_fn=None):
+def train(config, data, gen_spec=(64, 32, 32), checkpoint_every=0, checkpoint_fn=None):
     """Warm-up followed by alternating discriminator/generator updates.
 
-    disc_spec and gen_spec are hidden-layer widths. Batches are uniform with
-    replacement; iteration counts are fixed, there is no early stopping. All
-    randomness derives from config.seed. Returns (disc, gen, trace).
+    gen_spec holds the generator's hidden-layer widths; the discriminator is
+    logistic. Batches are uniform with replacement; iteration counts are fixed,
+    there is no early stopping. All randomness derives from config.seed.
+    Returns (disc, gen, trace).
     """
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint interval must be >= 0, got {checkpoint_every}")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init_d = np.random.default_rng(seeds[0])
     rng_init_g = np.random.default_rng(seeds[1])
     rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, disc_spec, rng_init_d)
+    disc = init_discriminator(data.n_features, rng=rng_init_d)
     gen = init_generator(data.n_features, gen_spec, rng_init_g)
     disc, trace = pretrain_discriminator(config, data, disc, rng=rng_batches)
     x_pos = data.pos_features()
@@ -266,17 +280,13 @@ def train(config, data, disc_spec=(), gen_spec=(64, 32, 32), checkpoint_every=0,
             gen, g_loss = generator_step(config, disc, gen, neg)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
-        trace.d_loss.append(d_loss)
-        trace.g_loss.append(g_loss)
-        trace.weight_entropy.append(batch_weight_entropy(w))
-        trace.weight_min.append(float(w.min()))
-        trace.weight_max.append(float(w.max()))
+        trace.record(d_loss, g_loss, w)
         if checkpoint_every and checkpoint_fn is not None and (i + 1) % checkpoint_every == 0:
             trace.checkpoints.append(checkpoint_fn(i + 1, disc))
     return disc, gen, trace
 
 
-def train_pretrain_only(config, data, disc_spec=()):
+def train_pretrain_only(config, data):
     """Baseline: the warm-up loop extended for pretrain_iters + train_iters steps.
 
     Seeded identically to train() (same spawned init and batch streams), so a
@@ -286,6 +296,6 @@ def train_pretrain_only(config, data, disc_spec=()):
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init_d = np.random.default_rng(seeds[0])
     rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, disc_spec, rng_init_d)
+    disc = init_discriminator(data.n_features, rng=rng_init_d)
     extended = replace(config, pretrain_iters=config.pretrain_iters + config.train_iters)
     return pretrain_discriminator(extended, data, disc, rng=rng_batches)

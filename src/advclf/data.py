@@ -96,11 +96,11 @@ def load_csv(path, label_column, positive_label):
     return LabeledDataset(np.asarray(feats, dtype=np.float64), labels_arr, feature_names)
 
 
-def save_csv(path, data, label_column="label"):
-    """Write a LabeledDataset in the format load_csv reads back."""
+def save_csv(path, data):
+    """Write a LabeledDataset in the format load_csv reads back, labels in column 'label'."""
     names = data.feature_names or [f"f{i}" for i in range(data.n_features)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([*names, label_column]) + "\n")
+        fh.write(",".join([*names, "label"]) + "\n")
         for row, lab in zip(data.features, data.labels):
             fh.write(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n")
 
@@ -111,7 +111,6 @@ class SplitSpec:
     val_frac: float = 0.2
     test_frac: float = 0.2
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
@@ -130,28 +129,23 @@ def _three_way_counts(n, spec):
 def split_dataset(data, spec):
     """Disjoint, exhaustive (train, val, test) partition, deterministic in spec.seed.
 
-    Stratified by default: each class is shuffled and cut separately, so the
-    per-class counts track the fractions to within rounding.
+    Stratified: each class is shuffled and cut separately, so the per-class
+    counts track the fractions to within rounding.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        pos = np.flatnonzero(data.labels == 1)
-        neg = np.flatnonzero(data.labels == 0)
-        for name, idx in (("positive", pos), ("negative", neg)):
-            if len(idx) < 3:
-                raise DataError(f"stratified split needs >= 3 {name} samples, have {len(idx)}")
-        parts = ([], [], [])
-        for idx in (pos, neg):
-            shuffled = rng.permutation(idx)
-            a, b, _ = _three_way_counts(len(idx), spec)
-            parts[0].append(shuffled[:a])
-            parts[1].append(shuffled[a : a + b])
-            parts[2].append(shuffled[a + b :])
-        indices = [np.concatenate(p) for p in parts]
-    else:
-        shuffled = rng.permutation(data.n)
-        a, b, _ = _three_way_counts(data.n, spec)
-        indices = [shuffled[:a], shuffled[a : a + b], shuffled[a + b :]]
+    pos = np.flatnonzero(data.labels == 1)
+    neg = np.flatnonzero(data.labels == 0)
+    for name, idx in (("positive", pos), ("negative", neg)):
+        if len(idx) < 3:
+            raise DataError(f"stratified split needs >= 3 {name} samples, have {len(idx)}")
+    parts = ([], [], [])
+    for idx in (pos, neg):
+        shuffled = rng.permutation(idx)
+        a, b, _ = _three_way_counts(len(idx), spec)
+        parts[0].append(shuffled[:a])
+        parts[1].append(shuffled[a : a + b])
+        parts[2].append(shuffled[a + b :])
+    indices = [np.concatenate(p) for p in parts]
     return tuple(
         LabeledDataset(data.features[idx], data.labels[idx], data.feature_names) for idx in indices
     )
@@ -173,10 +167,6 @@ def standardize(train, *others):
         for ds in (train, *others)
     )
     return out, mean, std
-
-
-def unstandardize(features, mean, std):
-    return np.asarray(features) * std + mean
 
 
 @dataclass(frozen=True)

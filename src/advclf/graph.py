@@ -4,8 +4,8 @@ Connected node pairs are the positives, disconnected pairs the negatives.
 The discriminator scores a pair through a dot product of its own embeddings
 plus a scalar bias; the generator weights negative pairs through an MLP over
 the concatenation of its own embeddings, pair order canonicalized to
-(min, max). Training follows the same loop as the tabular module with the
-embedding tables included in the updates.
+(min, max). Training reuses the tabular module's loop shape and score-space
+objective; this module supplies the embedding lookups and scatter-adds.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversarial import TrainTrace, batch_weight_entropy
+from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weights
 from .errors import ConfigError, DataError, TrainingError
 from .metrics import evaluate_binary, macro_micro_f1
 from .nn import (
@@ -25,9 +25,7 @@ from .nn import (
     mlp_spec,
     sgd_step,
     sigmoid,
-    softplus,
     stable_log_one_minus_sigmoid,
-    stable_log_sigmoid,
 )
 
 
@@ -295,24 +293,12 @@ def _pair_features(gen, pairs):
 def generator_pair_weights(gen, pairs):
     """Batch-normalized pair weights; order-invariant via canonical pair order."""
     feats, _, _ = _pair_features(gen, pairs)
-    raw = softplus(forward(gen.mlp, feats)[-1][:, 0])
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise TrainingError("degenerate generator: raw pair weights underflowed to zero")
-    return raw / total
+    return _normalized_weights(forward(gen.mlp, feats)[-1][:, 0])[0]
 
 
 def _graph_disc_update(disc, batch, neg_coeff, eta_d):
-    s_pos = pair_logits(disc, batch.pos)
-    s_neg = pair_logits(disc, batch.neg)
-    m_pos = len(s_pos)
-    loss = float(
-        np.mean(stable_log_sigmoid(s_pos)) + np.sum(neg_coeff * stable_log_one_minus_sigmoid(s_neg))
-    )
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite discriminator loss")
-    c_pos = (1.0 - sigmoid(s_pos)) / m_pos
-    c_neg = -neg_coeff * sigmoid(s_neg)
+    """One ascent step of the shared discriminator objective on the embedding table."""
+    loss, c_pos, c_neg = _disc_terms(pair_logits(disc, batch.pos), pair_logits(disc, batch.neg), neg_coeff)
     grad = np.zeros_like(disc.embeddings)
     for pairs, coeff in ((batch.pos, c_pos), (batch.neg, c_neg)):
         e_u = disc.embeddings[pairs[:, 0]]
@@ -330,10 +316,8 @@ def graph_pretrain_step(disc, batch, eta_d):
     return _graph_disc_update(disc, batch, coeff, eta_d)
 
 
-def graph_discriminator_step(config, disc, gen, batch, weights=None):
-    """Ascent with negative coefficients gamma * m * w, as in the tabular rule."""
-    if weights is None:
-        weights = generator_pair_weights(gen, batch.neg)
+def graph_discriminator_step(config, disc, batch, weights):
+    """Ascent with negative coefficients gamma * m * weights, as in the tabular rule."""
     coeff = config.gamma * len(batch.neg) * np.asarray(weights, dtype=np.float64)
     return _graph_disc_update(disc, batch, coeff, config.eta_d)
 
@@ -343,20 +327,8 @@ def graph_generator_step(config, disc, gen, neg_pairs):
     log_one_minus_d = stable_log_one_minus_sigmoid(pair_logits(disc, neg_pairs))
     feats, lo, hi = _pair_features(gen, neg_pairs)
     acts = forward(gen.mlp, feats)
-    t = acts[-1][:, 0]
-    raw = softplus(t)
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise TrainingError("degenerate generator: raw pair weights underflowed to zero")
-    w = raw / total
-    log_w = np.log(w)
-    loss = float(np.sum(w * log_one_minus_d) + config.lam * np.sum(w * log_w))
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite generator loss")
-    score = log_one_minus_d + config.lam * (1.0 + log_w)
-    centered = score - np.sum(w * score)
-    out_grad = (sigmoid(t) * centered / total)[:, None]
-    grads, input_grad = backward(gen.mlp, acts, out_grad)
+    loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
+    grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
     new_mlp = sgd_step(gen.mlp, grads, config.eta_g, "descent")
     dim = gen.embeddings.shape[1]
     emb_grad = np.zeros_like(gen.embeddings)
@@ -391,15 +363,11 @@ def train_graph(config, graph, train_edges, dim=20, gen_hidden=(64, 32, 32)):
         batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
         try:
             w = generator_pair_weights(gen, batch.neg)
-            disc, d_loss = graph_discriminator_step(config, disc, gen, batch, weights=w)
+            disc, d_loss = graph_discriminator_step(config, disc, batch, w)
             gen, g_loss = graph_generator_step(config, disc, gen, batch.neg)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
-        trace.d_loss.append(d_loss)
-        trace.g_loss.append(g_loss)
-        trace.weight_entropy.append(batch_weight_entropy(w))
-        trace.weight_min.append(float(w.min()))
-        trace.weight_max.append(float(w.max()))
+        trace.record(d_loss, g_loss, w)
     return disc, gen, trace
 
 
@@ -412,20 +380,19 @@ def link_predict_eval(disc, test_pos, test_neg):
     return evaluate_binary(predict_pairs(disc, pairs), labels)
 
 
-def _fit_predict_logistic(x_train, y_train, x_test, iters, lr):
-    """Full-batch logistic regression from zero init, via the shared net code."""
+def _fit_predict_logistic(x_train, y_train, x_test):
+    """Logistic regression from zero init, 300 full-batch ascent steps at rate 0.5."""
     params = MlpParams([Layer(np.zeros((x_train.shape[1], 1)), np.zeros(1), "identity")])
     n = len(x_train)
-    for _ in range(iters):
+    for _ in range(300):
         s = forward(params, x_train)[-1][:, 0]
         # backward() for one identity layer, without the unused input gradient
         delta = ((y_train - sigmoid(s)) / n)[:, None]
-        params = sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], lr, "ascent")
+        params = sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5, "ascent")
     return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
 
 
-def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles=10, seed=0,
-                             fit_iters=300, fit_lr=0.5):
+def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles=10, seed=0):
     """One-vs-all logistic probes on frozen embeddings.
 
     Per shuffle, train_frac of the nodes are visible; a logistic head per
@@ -437,6 +404,8 @@ def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles
     emb = np.asarray(embeddings, dtype=np.float64)
     if node_labels.n_classes < 2:
         raise ConfigError("need at least two classes")
+    if n_shuffles < 1:
+        raise ConfigError(f"need at least one label shuffle, got {n_shuffles}")
     if len(node_labels.labels) != emb.shape[0]:
         raise ConfigError(
             f"{len(node_labels.labels)} label rows vs {emb.shape[0]} embedding rows"
@@ -461,7 +430,7 @@ def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles
             if y_vis.sum() == 0:
                 pred = np.zeros(len(hidden), dtype=int)
             else:
-                pred = _fit_predict_logistic(emb[visible], y_vis, emb[hidden], fit_iters, fit_lr)
+                pred = _fit_predict_logistic(emb[visible], y_vis, emb[hidden])
             y_hid = y[hidden, c].astype(int)
             tp = int(np.sum((pred == 1) & (y_hid == 1)))
             fp = int(np.sum((pred == 1) & (y_hid == 0)))

@@ -150,6 +150,13 @@ def test_train_eval_every_checkpoints(capsys):
     assert all(0.0 <= c["val_auc"] <= 1.0 for c in report["checkpoints"])
 
 
+def test_train_negative_eval_every_exits_2(capsys):
+    code, out, err = run_cli(capsys, small_train_args(**{"--eval-every": "-3"}))
+    assert code == 2
+    assert out == ""
+    assert "checkpoint interval must be >= 0" in err
+
+
 def test_train_reference_table(capsys):
     code, out, _ = run_cli(capsys, small_train_args() + ["--reference", "pen_digits"])
     assert code == 0
@@ -358,6 +365,22 @@ def test_graph_with_labels_adds_section(capsys, tmp_path):
     report = json_payload(out)
     assert report["node_classification"]["n_shuffles"] == 3
     assert 0.0 <= report["node_classification"]["macro_f1_mean"] <= 1.0
+
+
+def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path):
+    """No shuffle means no F1 to average; the report would carry NaN."""
+    edges = tmp_path / "edges.txt"
+    write_clique_edges(edges)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i} {int(i >= 6)}\n" for i in range(12)))
+    code, out, err = run_cli(
+        capsys,
+        ["graph", "--edges", str(edges), "--labels", str(labels), "--label-shuffles", "0"]
+        + GRAPH_ARGS,
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least one label shuffle" in err
 
 
 def test_graph_report_deterministic(capsys, tmp_path):

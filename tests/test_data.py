@@ -14,7 +14,6 @@ from advclf.data import (
     standardize,
     synth_gaussian_imbalanced,
     undersample_majority,
-    unstandardize,
 )
 from advclf.errors import ConfigError, DataError
 from advclf.metrics import evaluate_binary
@@ -156,12 +155,6 @@ class TestStandardize:
         test = LabeledDataset(np.array([[1.0]]), np.array([1]), None)
         (tr, te), mean, std = standardize(train, test)
         assert te.features[0, 0] == 0.0  # equals the train mean
-
-    def test_unstandardize_round_trip(self):
-        rng = np.random.default_rng(4)
-        data = LabeledDataset(rng.standard_normal((30, 4)) * 5 + 2, rng.integers(0, 2, 30), None)
-        (out,), mean, std = standardize(data)
-        assert np.abs(unstandardize(out.features, mean, std) - data.features).max() < 1e-10
 
 
 class TestSynth:

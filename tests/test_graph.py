@@ -351,6 +351,20 @@ def test_generator_pair_weights_order_invariant():
     assert np.all(w > 0) and float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_degenerate_graph_generator_raises():
+    # an output bias of -1000 makes every softplus underflow to exactly 0
+    rng = np.random.default_rng(4)
+    disc, gen = init_graph_models(6, 3, (5,), rng, rng)
+    *hidden, out = gen.mlp.layers
+    mlp = MlpParams([*hidden, Layer(out.weight, np.array([-1000.0]), out.activation)])
+    gen = GraphGenerator(gen.embeddings, mlp)
+    pairs = np.array([[0, 5], [2, 1], [3, 4]])
+    with pytest.raises(TrainingError, match="degenerate generator"):
+        generator_pair_weights(gen, pairs)
+    with pytest.raises(TrainingError, match="degenerate generator"):
+        graph_generator_step(TrainConfig(batch_size=3), disc, gen, pairs)
+
+
 def disc_objective(embeddings, bias, batch, neg_coeff):
     def logit(e, pairs):
         return np.einsum("ij,ij->i", e[pairs[:, 0]], e[pairs[:, 1]]) + bias
@@ -372,7 +386,7 @@ def test_graph_disc_step_gradient_matches_finite_differences():
     cfg = TrainConfig(batch_size=5, gamma=0.11, eta_d=0.7)
     w = generator_pair_weights(gen, batch.neg)
     coeff = cfg.gamma * 5 * w
-    new_disc, _ = graph_discriminator_step(cfg, disc, gen, batch, weights=w)
+    new_disc, _ = graph_discriminator_step(cfg, disc, batch, w)
     analytic = (new_disc.embeddings - disc.embeddings) / cfg.eta_d
     eps = 1e-6
     for idx in np.ndindex(disc.embeddings.shape):
@@ -423,7 +437,7 @@ def test_graph_reduction_identity():
     batch = sample_pair_batch(g.pairs(), g, 6, rng)
     cfg = TrainConfig(batch_size=6, gamma=1.0 / 6.0, eta_d=0.4)
     uniform = np.full(6, 1.0 / 6.0)
-    d_adv, _ = graph_discriminator_step(cfg, disc, gen, batch, weights=uniform)
+    d_adv, _ = graph_discriminator_step(cfg, disc, batch, uniform)
     d_pre, _ = graph_pretrain_step(disc, batch, cfg.eta_d)
     assert np.max(np.abs(d_adv.embeddings - d_pre.embeddings)) <= 1e-12
     assert abs(d_adv.bias - d_pre.bias) <= 1e-12
