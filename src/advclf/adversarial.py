@@ -32,7 +32,6 @@ from .nn import (
     backward,
     forward,
     init_mlp,
-    mlp_spec,
     sgd_step,
     sigmoid,
     softplus,
@@ -76,7 +75,7 @@ class TrainConfig:
 
 @dataclass
 class Discriminator:
-    """MLP ending in one linear unit; the class probability is sigmoid(logit)."""
+    """Logistic model: one linear unit; the class probability is sigmoid(logit)."""
 
     params: object
 
@@ -107,14 +106,12 @@ class TrainTrace:
         self.weight_max.append(float(w.max()))
 
 
-def init_discriminator(n_features, hidden=(), rng=None):
-    rng = np.random.default_rng() if rng is None else rng
-    return Discriminator(init_mlp(mlp_spec((n_features, *hidden, 1)), rng))
+def init_discriminator(n_features, rng):
+    return Discriminator(init_mlp((n_features, 1), rng))
 
 
-def init_generator(n_features, hidden=(64, 32, 32), rng=None):
-    rng = np.random.default_rng() if rng is None else rng
-    return Generator(init_mlp(mlp_spec((n_features, *hidden, 1)), rng))
+def init_generator(n_features, hidden, rng):
+    return Generator(init_mlp((n_features, *hidden, 1), rng))
 
 
 def discriminator_logits(disc, x):
@@ -132,10 +129,6 @@ def predict(disc, x):
 def classify(disc, x):
     """Hard labels; probability exactly 0.5 rounds up to class 1."""
     return (predict(disc, x) >= 0.5).astype(np.int64)
-
-
-def generator_raw_weights(gen, x):
-    return softplus(forward(gen.params, np.asarray(x, dtype=np.float64))[-1][:, 0])
 
 
 def _normalized_weights(t):
@@ -205,17 +198,15 @@ def pretrain_step(disc, pos_batch, neg_batch, eta_d):
     return Discriminator(params), loss
 
 
-def discriminator_step(config, disc, gen, pos_batch, neg_batch, weights=None):
+def discriminator_step(config, disc, pos_batch, neg_batch, weights):
     """One ascent step of the re-weighted objective.
 
     The negative coefficient is gamma * m * w_i with w the batch-normalized
-    generator weights, so gamma = 1/m and a uniform generator reduce exactly
-    to pretrain_step on the same batches.
+    generator weights, so gamma = 1/m and uniform weights reduce exactly to
+    pretrain_step on the same batches.
     """
     pos_batch = np.asarray(pos_batch, dtype=np.float64)
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
-    if weights is None:
-        weights = generator_batch_weights(gen, neg_batch)
     coeff = config.gamma * len(neg_batch) * np.asarray(weights, dtype=np.float64)
     params, loss = _disc_update(disc.params, pos_batch, neg_batch, coeff, config.eta_d)
     return Discriminator(params), loss
@@ -231,13 +222,12 @@ def generator_step(config, disc, gen, neg_batch):
     return Generator(sgd_step(gen.params, grads, config.eta_g, "descent")), loss
 
 
-def pretrain_discriminator(config, data, disc, rng=None):
+def pretrain_discriminator(config, data, disc, rng):
     """Run the warm-up loop for config.pretrain_iters uniform batches."""
     x_pos = data.pos_features()
     x_neg = data.neg_features()
     if len(x_pos) == 0 or len(x_neg) == 0:
         raise DataError("training data must contain both classes")
-    rng = np.random.default_rng(config.seed) if rng is None else rng
     trace = TrainTrace()
     m = config.batch_size
     for i in range(config.pretrain_iters):
@@ -265,9 +255,9 @@ def train(config, data, gen_spec=(64, 32, 32), checkpoint_every=0, checkpoint_fn
     rng_init_d = np.random.default_rng(seeds[0])
     rng_init_g = np.random.default_rng(seeds[1])
     rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, rng=rng_init_d)
+    disc = init_discriminator(data.n_features, rng_init_d)
     gen = init_generator(data.n_features, gen_spec, rng_init_g)
-    disc, trace = pretrain_discriminator(config, data, disc, rng=rng_batches)
+    disc, trace = pretrain_discriminator(config, data, disc, rng_batches)
     x_pos = data.pos_features()
     x_neg = data.neg_features()
     m = config.batch_size
@@ -276,7 +266,7 @@ def train(config, data, gen_spec=(64, 32, 32), checkpoint_every=0, checkpoint_fn
         neg = x_neg[rng_batches.integers(0, len(x_neg), size=m)]
         try:
             w = generator_batch_weights(gen, neg)
-            disc, d_loss = discriminator_step(config, disc, gen, pos, neg, weights=w)
+            disc, d_loss = discriminator_step(config, disc, pos, neg, w)
             gen, g_loss = generator_step(config, disc, gen, neg)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
@@ -296,6 +286,6 @@ def train_pretrain_only(config, data):
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init_d = np.random.default_rng(seeds[0])
     rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, rng=rng_init_d)
+    disc = init_discriminator(data.n_features, rng_init_d)
     extended = replace(config, pretrain_iters=config.pretrain_iters + config.train_iters)
-    return pretrain_discriminator(extended, data, disc, rng=rng_batches)
+    return pretrain_discriminator(extended, data, disc, rng_batches)

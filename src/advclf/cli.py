@@ -28,6 +28,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, MetricsError, TrainingError
 from .graph import (
+    check_probe_settings,
     link_predict_eval,
     load_edge_list,
     load_node_labels,
@@ -170,6 +171,10 @@ def cmd_train(args):
     opts = _resolve(args, TRAIN_SCHEMA)
     if bool(opts["data"]) == bool(opts["synth"]):
         raise ConfigError("provide exactly one of --data or --synth")
+    # argparse's choices cover only the flag, not a config file's value
+    reference = opts["reference"]
+    if reference and reference not in REFERENCE_ROWS:
+        raise ConfigError(f"unknown reference row {reference!r}; choices: {sorted(REFERENCE_ROWS)}")
     started = time.monotonic()
     if opts["synth"]:
         spec = SynthSpec(
@@ -258,20 +263,17 @@ def cmd_train(args):
         "checkpoints": trace.checkpoints,
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
-    if opts["reference"]:
-        name = opts["reference"]
-        if name not in REFERENCE_ROWS:
-            raise ConfigError(f"unknown reference row {name!r}; choices: {sorted(REFERENCE_ROWS)}")
-        published = REFERENCE_ROWS[name]
+    if reference:
+        published = REFERENCE_ROWS[reference]
         ours = evaluations["adversarial"]["test"]
-        print(f"reference comparison ({name}), informational only:")
+        print(f"reference comparison ({reference}), informational only:")
         print(f"  {'metric':<10} {'published':>10} {'this run':>10} {'delta':>8}")
         for metric, pub in published.items():
             got = ours[metric]
             print(f"  {metric:<10} {pub:>10.4f} {got:>10.4f} {got - pub:>+8.4f}")
         print("  expect agreement only to within about ±0.05: the published runs'")
         print("  preprocessing and splits are unspecified. Never a gating check.")
-        report["reference_row"] = {"name": name, "published": published}
+        report["reference_row"] = {"name": reference, "published": published}
     if opts["out_trace"]:
         _write_trace_csv(opts["out_trace"], trace)
     _dump_report(report, opts["out_report"])
@@ -306,6 +308,10 @@ def cmd_graph(args):
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
     train_edges, test_pos, test_neg = split_edges(graph, opts["test_frac"], opts["seed"])
+    if opts["labels"]:
+        # a bad label file or probe setting fails here, not after training
+        node_labels = load_node_labels(opts["labels"], n_nodes=graph.n_nodes)
+        check_probe_settings(node_labels, graph.n_nodes, opts["label_train_frac"], opts["label_shuffles"])
     config = TrainConfig(
         batch_size=opts["batch_size"],
         pretrain_iters=opts["pretrain_iters"],
@@ -343,7 +349,6 @@ def cmd_graph(args):
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
     if opts["labels"]:
-        node_labels = load_node_labels(opts["labels"], n_nodes=graph.n_nodes)
         report["node_classification"] = node_classification_eval(
             disc.embeddings,
             node_labels,

@@ -22,7 +22,6 @@ from .nn import (
     backward,
     forward,
     init_mlp,
-    mlp_spec,
     sgd_step,
     sigmoid,
     stable_log_one_minus_sigmoid,
@@ -267,7 +266,7 @@ def init_graph_models(n_nodes, dim, gen_hidden, rng_d, rng_g):
     scale = 0.5 / dim
     emb_d = rng_d.uniform(-scale, scale, size=(n_nodes, dim))
     emb_g = rng_g.uniform(-scale, scale, size=(n_nodes, dim))
-    mlp = init_mlp(mlp_spec((2 * dim, *gen_hidden, 1)), rng_g)
+    mlp = init_mlp((2 * dim, *gen_hidden, 1), rng_g)
     return GraphDiscriminator(emb_d, 0.0), GraphGenerator(emb_g, mlp)
 
 
@@ -382,7 +381,7 @@ def link_predict_eval(disc, test_pos, test_neg):
 
 def _fit_predict_logistic(x_train, y_train, x_test):
     """Logistic regression from zero init, 300 full-batch ascent steps at rate 0.5."""
-    params = MlpParams([Layer(np.zeros((x_train.shape[1], 1)), np.zeros(1), "identity")])
+    params = MlpParams([Layer(np.zeros((x_train.shape[1], 1)), np.zeros(1))])
     n = len(x_train)
     for _ in range(300):
         s = forward(params, x_train)[-1][:, 0]
@@ -390,6 +389,20 @@ def _fit_predict_logistic(x_train, y_train, x_test):
         delta = ((y_train - sigmoid(s)) / n)[:, None]
         params = sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5, "ascent")
     return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
+
+
+def check_probe_settings(node_labels, n_nodes, train_frac, n_shuffles):
+    """Raise ConfigError unless node_classification_eval can run; returns the visible node count."""
+    if node_labels.n_classes < 2:
+        raise ConfigError("need at least two classes")
+    if n_shuffles < 1:
+        raise ConfigError(f"need at least one label shuffle, got {n_shuffles}")
+    if len(node_labels.labels) != n_nodes:
+        raise ConfigError(f"{len(node_labels.labels)} label rows vs {n_nodes} embedding rows")
+    n_visible = int(round(train_frac * n_nodes))
+    if n_visible < 1 or n_visible >= n_nodes:
+        raise ConfigError("train_frac leaves no visible or no hidden nodes")
+    return n_visible
 
 
 def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles=10, seed=0):
@@ -402,18 +415,8 @@ def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles
     micro/macro F1 over the shuffles.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    if node_labels.n_classes < 2:
-        raise ConfigError("need at least two classes")
-    if n_shuffles < 1:
-        raise ConfigError(f"need at least one label shuffle, got {n_shuffles}")
-    if len(node_labels.labels) != emb.shape[0]:
-        raise ConfigError(
-            f"{len(node_labels.labels)} label rows vs {emb.shape[0]} embedding rows"
-        )
     n = emb.shape[0]
-    n_visible = int(round(train_frac * n))
-    if n_visible < 1 or n_visible >= n:
-        raise ConfigError("train_frac leaves no visible or no hidden nodes")
+    n_visible = check_probe_settings(node_labels, n, train_frac, n_shuffles)
     y = np.zeros((n, node_labels.n_classes))
     for node, labs in enumerate(node_labels.labels):
         for c in labs:

@@ -48,14 +48,10 @@ def auc_roc(scores, labels):
         raise MetricsError("AUC needs at least one positive and one negative label")
     order = np.argsort(scores, kind="stable")
     s = scores[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j < s.size and s[j] == s[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j + 1)  # midrank, 1-based
-        i = j
+    # runs of equal sorted scores span [start, end); each gets the 1-based midrank
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    end = np.r_[start[1:], s.size]
+    ranks = np.repeat(0.5 * (start + end + 1), end - start)
     rank_sum = float(np.sum(ranks[np.asarray(labels)[order] == 1]))
     return (rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
@@ -94,8 +90,8 @@ class MetricsReport:
         return asdict(self)
 
 
-def evaluate_binary(scores, labels, threshold=0.5):
-    """Threshold scores (>= threshold is class 1) and build the full report.
+def evaluate_binary(scores, labels):
+    """Threshold scores at 0.5 (>= 0.5 is class 1) and build the full report.
 
     macro_f1/micro_f1 treat class 1 and class 0 as the two one-vs-rest
     problems; with exactly one predicted label per sample micro_f1 equals
@@ -103,7 +99,7 @@ def evaluate_binary(scores, labels, threshold=0.5):
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    preds = (scores >= threshold).astype(int)
+    preds = (scores >= 0.5).astype(int)
     tp, fp, tn, fn = confusion(preds, labels)
     precision, recall, f1 = precision_recall_f1(tp, fp, fn)
     macro, micro = macro_micro_f1([(tp, fp, fn), (tn, fn, fp)])

@@ -1,9 +1,11 @@
 """Small dense networks with explicit backpropagation, all in float64 numpy.
 
-Parameters live in plain dataclasses and every operation returns fresh
-arrays, so repeated calls with the same inputs are reproducible bit for bit
-and separate parameter objects never share state. finite_difference_grad is
-the deliberately slow oracle that backward is checked against.
+A net is its unit counts: every layer but the last is followed by a
+sigmoid, and the last is linear. Parameters live in plain dataclasses and
+every operation returns fresh arrays, so repeated calls with the same inputs
+are reproducible bit for bit and separate parameter objects never share
+state. finite_difference_grad is the deliberately slow oracle that backward
+is checked against.
 """
 
 from dataclasses import dataclass
@@ -11,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-
-ACTIVATIONS = ("identity", "sigmoid", "relu")
 
 
 def sigmoid(z):
@@ -38,24 +38,10 @@ def stable_log_one_minus_sigmoid(z):
     return -softplus(np.asarray(z, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "sigmoid"
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigError(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-
-
 @dataclass
 class Layer:
     weight: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str
 
 
 @dataclass
@@ -66,49 +52,24 @@ class MlpParams:
     def in_dim(self):
         return self.layers[0].weight.shape[0]
 
-    @property
-    def out_dim(self):
-        return self.layers[-1].weight.shape[1]
 
-
-def mlp_spec(dims, hidden_activation="sigmoid", final_activation="identity"):
-    """Chain of LayerSpec for the given unit counts, e.g. (4, 64, 32, 32, 1)."""
+def init_mlp(dims, rng):
+    """Widths dims such as (4, 64, 1); uniform weights on +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise ConfigError("need at least an input and an output dimension")
-    specs = []
-    for i in range(len(dims) - 1):
-        act = final_activation if i == len(dims) - 2 else hidden_activation
-        specs.append(LayerSpec(dims[i], dims[i + 1], act))
-    return specs
-
-
-def init_mlp(specs, rng):
-    """Uniform weights on +/- sqrt(6 / (fan_in + fan_out)), zero biases."""
-    if not specs:
-        raise ConfigError("empty layer spec")
+    if min(dims) < 1:
+        raise ConfigError(f"layer widths must be >= 1, got {dims}")
     layers = []
-    for i, spec in enumerate(specs):
-        if i > 0 and spec.in_dim != specs[i - 1].out_dim:
-            raise ConfigError(
-                f"layer {i} input dim {spec.in_dim} does not chain with previous output {specs[i - 1].out_dim}"
-            )
-        limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weight = rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim))
-        layers.append(Layer(weight, np.zeros(spec.out_dim), spec.activation))
+    for in_dim, out_dim in zip(dims[:-1], dims[1:]):
+        limit = np.sqrt(6.0 / (in_dim + out_dim))
+        weight = rng.uniform(-limit, limit, size=(in_dim, out_dim))
+        layers.append(Layer(weight, np.zeros(out_dim)))
     return MlpParams(layers)
 
 
 def clone_params(params):
-    return MlpParams([Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in params.layers])
-
-
-def _apply_activation(name, z):
-    if name == "identity":
-        return z
-    if name == "sigmoid":
-        return sigmoid(z)
-    return np.maximum(z, 0.0)
+    return MlpParams([Layer(l.weight.copy(), l.bias.copy()) for l in params.layers])
 
 
 def forward(params, batch):
@@ -122,8 +83,11 @@ def forward(params, batch):
         raise ConfigError(f"batch shape {batch.shape} does not match input dim {params.in_dim}")
     activations = [batch]
     out = batch
-    for layer in params.layers:
-        out = _apply_activation(layer.activation, out @ layer.weight + layer.bias)
+    last = len(params.layers) - 1
+    for i, layer in enumerate(params.layers):
+        out = out @ layer.weight + layer.bias
+        if i < last:
+            out = sigmoid(out)
         activations.append(out)
     return activations
 
@@ -134,16 +98,14 @@ def backward(params, activations, output_grad):
     Returns ([(d_weight, d_bias) per layer], d loss / d input batch).
     """
     delta = np.asarray(output_grad, dtype=np.float64)
+    last = len(params.layers) - 1
     grads = [None] * len(params.layers)
-    for i in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[i]
-        out = activations[i + 1]
-        if layer.activation == "sigmoid":
+    for i in range(last, -1, -1):
+        if i < last:
+            out = activations[i + 1]
             delta = delta * out * (1.0 - out)
-        elif layer.activation == "relu":
-            delta = delta * (out > 0.0)
         grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
-        delta = delta @ layer.weight.T
+        delta = delta @ params.layers[i].weight.T
     return grads, delta
 
 
@@ -178,16 +140,10 @@ def sgd_step(params, grads, learning_rate, direction="descent"):
         raise ConfigError("learning_rate must be positive")
     if direction not in ("ascent", "descent"):
         raise ConfigError(f"direction must be 'ascent' or 'descent', got {direction!r}")
-    sign = 1.0 if direction == "ascent" else -1.0
+    step = (1.0 if direction == "ascent" else -1.0) * learning_rate
     layers = []
     for layer, (gw, gb) in zip(params.layers, grads, strict=True):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise TrainingError("non-finite gradient")
-        layers.append(
-            Layer(
-                layer.weight + sign * learning_rate * gw,
-                layer.bias + sign * learning_rate * gb,
-                layer.activation,
-            )
-        )
+        layers.append(Layer(layer.weight + step * gw, layer.bias + step * gb))
     return MlpParams(layers)

@@ -41,6 +41,29 @@ def auc_pair_count(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def auc_roc_midrank_loop(scores, labels):
+    """auc_roc with midranks from a Python loop over runs of equal sorted scores.
+
+    advclf.metrics.auc_roc must match it bit for bit; inputs are assumed valid.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = int(np.count_nonzero(labels == 0))
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    ranks = np.empty(s.size, dtype=np.float64)
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            j += 1
+        ranks[i:j] = 0.5 * (i + j + 1)  # midrank, 1-based
+        i = j
+    rank_sum = float(np.sum(ranks[labels[order] == 1]))
+    return (rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
+
+
 def sigmoid_two_branch(z):
     """Reference sigmoid that advclf.nn.sigmoid must match bit for bit: two clipped exps."""
     z = np.asarray(z, dtype=np.float64)

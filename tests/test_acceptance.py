@@ -28,6 +28,7 @@ from advclf.adversarial import (
     Generator,
     TrainConfig,
     discriminator_step,
+    generator_batch_weights,
     init_discriminator,
     init_generator,
     predict,
@@ -52,7 +53,6 @@ from advclf.nn import (
     finite_difference_grad,
     forward,
     init_mlp,
-    mlp_spec,
     sigmoid,
     softplus,
 )
@@ -95,7 +95,7 @@ def _random_distribution(rng, k):
 def _grad_check_case(dims, seed):
     """Backward vs. finite differences for sum(c * softplus(out)) on one net."""
     rng = np.random.default_rng(seed)
-    params = init_mlp(mlp_spec(dims), rng)
+    params = init_mlp(dims, rng)
     x = rng.normal(size=(3, dims[0]))
     c = rng.normal(size=(3, 1))
 
@@ -265,15 +265,15 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     m, dim = 8, 3
     pos = rng.normal(size=(m, dim))
     neg = rng.normal(size=(m, dim)) + 1.0
-    disc = init_discriminator(dim, rng=np.random.default_rng(50))
+    disc = init_discriminator(dim, np.random.default_rng(50))
     seeded = init_generator(dim, hidden=(4,), rng=np.random.default_rng(51))
     flat_gen = Generator(MlpParams([
-        Layer(np.zeros_like(layer.weight), np.zeros_like(layer.bias), layer.activation)
+        Layer(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
         for layer in seeded.params.layers
     ]))
     config = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.3, seed=0)
     plain, _ = pretrain_step(disc, pos, neg, config.eta_d)
-    adversarial, _ = discriminator_step(config, disc, flat_gen, pos, neg)
+    adversarial, _ = discriminator_step(config, disc, pos, neg, generator_batch_weights(flat_gen, neg))
     diff = max(
         max(np.abs(a.weight - b.weight).max(), np.abs(a.bias - b.bias).max())
         for a, b in zip(plain.params.layers, adversarial.params.layers)

@@ -40,11 +40,11 @@ from helpers import flatten_param_grads, grad_rel_error
 
 def linear_params(w, b):
     """Single identity layer with explicit weight matrix and bias vector."""
-    return MlpParams([Layer(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64), "identity")])
+    return MlpParams([Layer(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))])
 
 
 def zeroed(params):
-    return MlpParams([Layer(np.zeros_like(l.weight), np.zeros_like(l.bias), l.activation) for l in params.layers])
+    return MlpParams([Layer(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers])
 
 
 def assert_params_equal(a, b, atol=0.0):
@@ -158,12 +158,14 @@ def test_weights_are_a_distribution(seed, n_features, m):
 
 def test_gamma_zero_ignores_negatives():
     rng = np.random.default_rng(5)
-    disc = init_discriminator(2, (4,), rng)
+    disc = init_discriminator(2, rng)
     gen = Generator(linear_params(np.zeros((2, 1)), np.zeros(1)))
     cfg = TrainConfig(batch_size=3, gamma=0.0, eta_d=0.1)
     pos = rng.standard_normal((3, 2))
-    d1, _ = discriminator_step(cfg, disc, gen, pos, rng.standard_normal((3, 2)))
-    d2, _ = discriminator_step(cfg, disc, gen, pos, rng.standard_normal((3, 2)) + 7.0)
+    neg1 = rng.standard_normal((3, 2))
+    neg2 = rng.standard_normal((3, 2)) + 7.0
+    d1, _ = discriminator_step(cfg, disc, pos, neg1, generator_batch_weights(gen, neg1))
+    d2, _ = discriminator_step(cfg, disc, pos, neg2, generator_batch_weights(gen, neg2))
     assert_params_equal(d1.params, d2.params)
 
 
@@ -171,36 +173,22 @@ def test_reduction_identity_matches_pretrain():
     # gamma = 1/m with uniform generator weights must reproduce a warm-up step
     m = 4
     rng = np.random.default_rng(11)
-    disc = init_discriminator(3, (6,), rng)
+    disc = init_discriminator(3, rng)
     gen = Generator(zeroed(init_generator(3, (5,), rng).params))
     pos = rng.standard_normal((m, 3))
     neg = rng.standard_normal((m, 3))
     cfg = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.2)
-    d_adv, loss_adv = discriminator_step(cfg, disc, gen, pos, neg)
+    d_adv, loss_adv = discriminator_step(cfg, disc, pos, neg, generator_batch_weights(gen, neg))
     d_pre, loss_pre = pretrain_step(disc, pos, neg, cfg.eta_d)
     assert max_param_diff(d_adv.params, d_pre.params) <= 1e-12
     assert abs(loss_adv - loss_pre) <= 1e-12
-
-
-def test_disc_step_default_weights_match_explicit():
-    rng = np.random.default_rng(3)
-    disc = init_discriminator(2, (), rng)
-    gen = init_generator(2, (4,), rng)
-    cfg = TrainConfig(batch_size=5)
-    pos = rng.standard_normal((5, 2))
-    neg = rng.standard_normal((5, 2))
-    w = generator_batch_weights(gen, neg)
-    d1, l1 = discriminator_step(cfg, disc, gen, pos, neg)
-    d2, l2 = discriminator_step(cfg, disc, gen, pos, neg, weights=w)
-    assert_params_equal(d1.params, d2.params)
-    assert l1 == l2
 
 
 def test_disc_step_recovers_gradient():
     """(theta_new - theta_old) / eta matches the finite-difference gradient of the ascent objective."""
     rng = np.random.default_rng(42)
     m = 6
-    disc = init_discriminator(3, (5,), rng)
+    disc = init_discriminator(3, rng)
     gen = init_generator(3, (4,), rng)
     pos = rng.standard_normal((m, 3))
     neg = rng.standard_normal((m, 3))
@@ -215,7 +203,7 @@ def test_disc_step_recovers_gradient():
             np.mean(stable_log_sigmoid(s_pos)) + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg))
         )
 
-    new_disc, _ = discriminator_step(cfg, disc, gen, pos, neg, weights=w)
+    new_disc, _ = discriminator_step(cfg, disc, pos, neg, w)
     analytic = [
         ((ln.weight - lo.weight) / cfg.eta_d, (ln.bias - lo.bias) / cfg.eta_d)
         for lo, ln in zip(disc.params.layers, new_disc.params.layers)
@@ -228,7 +216,7 @@ def test_gen_step_recovers_gradient():
     """Generator descent direction matches the finite-difference gradient, normalization included."""
     rng = np.random.default_rng(43)
     m = 5
-    disc = init_discriminator(2, (4,), rng)
+    disc = init_discriminator(2, rng)
     gen = init_generator(2, (3,), rng)
     neg = rng.standard_normal((m, 2))
     cfg = TrainConfig(batch_size=m, lam=0.3, eta_g=0.5)
@@ -292,9 +280,9 @@ def small_data(seed=0, n=400, sep=3.0):
 
 def test_pretrain_requires_both_classes():
     data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64), ["a", "b"])
-    disc = init_discriminator(2, (), np.random.default_rng(0))
+    disc = init_discriminator(2, np.random.default_rng(0))
     with pytest.raises(DataError, match="both classes"):
-        pretrain_discriminator(TrainConfig(), data, disc)
+        pretrain_discriminator(TrainConfig(), data, disc, np.random.default_rng(0))
 
 
 def test_train_is_deterministic():
@@ -369,8 +357,8 @@ def test_trace_entropy_bounds():
 def test_pretrain_separates_easy_data():
     data = small_data(seed=7, n=500, sep=6.0)
     cfg = TrainConfig(batch_size=32, pretrain_iters=300, eta_d=0.5, train_iters=0, seed=2)
-    disc = init_discriminator(data.n_features, (), np.random.default_rng(1))
-    disc, _ = pretrain_discriminator(cfg, data, disc)
+    disc = init_discriminator(data.n_features, np.random.default_rng(1))
+    disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
     acc = float(np.mean(classify(disc, data.features) == data.labels))
     assert acc >= 0.95
 
@@ -379,8 +367,8 @@ def test_single_pair_sign():
     # one positive at +1, one negative at -1: the logit must order them
     data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0], dtype=np.int64), ["f0"])
     cfg = TrainConfig(batch_size=2, pretrain_iters=100, eta_d=1.0, train_iters=0, seed=0)
-    disc = init_discriminator(1, (), np.random.default_rng(0))
-    disc, _ = pretrain_discriminator(cfg, data, disc)
+    disc = init_discriminator(1, np.random.default_rng(0))
+    disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
     p = predict(disc, data.features)
     assert p[0] > 0.5 > p[1]
     assert classify(disc, data.features).tolist() == [1, 0]

@@ -41,6 +41,10 @@ def small_train_args(**overrides):
     return argv
 
 
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("training started before the run's inputs were checked")
+
+
 def write_clique_edges(path, size=6):
     lines = []
     for block in (range(size), range(size, 2 * size)):
@@ -213,6 +217,17 @@ def test_config_file_bad_value(capsys, tmp_path):
     assert "batch_size" in err
 
 
+def test_config_file_unknown_reference_exits_2_before_training(capsys, tmp_path, monkeypatch):
+    """argparse's choices cover only the flag; the file's value is checked before any model trains."""
+    monkeypatch.setattr("advclf.cli.train", fail_if_called)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("reference = bogus\n")
+    code, out, err = run_cli(capsys, small_train_args() + ["--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert "unknown reference row 'bogus'" in err
+
+
 def test_config_file_missing_or_malformed(tmp_path):
     from advclf.errors import ConfigError
 
@@ -367,8 +382,9 @@ def test_graph_with_labels_adds_section(capsys, tmp_path):
     assert 0.0 <= report["node_classification"]["macro_f1_mean"] <= 1.0
 
 
-def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path):
-    """No shuffle means no F1 to average; the report would carry NaN."""
+def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path, monkeypatch):
+    """No shuffle means no F1 to average; the report would carry NaN. Caught before training."""
+    monkeypatch.setattr("advclf.cli.train_graph", fail_if_called)
     edges = tmp_path / "edges.txt"
     write_clique_edges(edges)
     labels = tmp_path / "labels.txt"
@@ -381,6 +397,23 @@ def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "at least one label shuffle" in err
+
+
+@pytest.mark.parametrize("option,value,code,message", [
+    ("--labels", "absent.txt", 1, "no such file"),
+    ("--label-train-frac", "1.0", 2, "no visible or no hidden nodes"),
+])
+def test_graph_label_probe_inputs_fail_before_training(capsys, tmp_path, monkeypatch, option, value,
+                                                       code, message):
+    monkeypatch.setattr("advclf.cli.train_graph", fail_if_called)
+    monkeypatch.chdir(tmp_path)
+    write_clique_edges(tmp_path / "edges.txt")
+    (tmp_path / "labels.txt").write_text("".join(f"{i} {int(i >= 6)}\n" for i in range(12)))
+    argv = ["graph", "--edges", "edges.txt", "--labels", "labels.txt"] + GRAPH_ARGS + [option, value]
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert message in err
 
 
 def test_graph_report_deterministic(capsys, tmp_path):

@@ -356,7 +356,7 @@ def test_degenerate_graph_generator_raises():
     rng = np.random.default_rng(4)
     disc, gen = init_graph_models(6, 3, (5,), rng, rng)
     *hidden, out = gen.mlp.layers
-    mlp = MlpParams([*hidden, Layer(out.weight, np.array([-1000.0]), out.activation)])
+    mlp = MlpParams([*hidden, Layer(out.weight, np.array([-1000.0]))])
     gen = GraphGenerator(gen.embeddings, mlp)
     pairs = np.array([[0, 5], [2, 1], [3, 4]])
     with pytest.raises(TrainingError, match="degenerate generator"):

@@ -11,7 +11,7 @@ from advclf.metrics import (
     macro_micro_f1,
     precision_recall_f1,
 )
-from helpers import auc_pair_count
+from helpers import auc_pair_count, auc_roc_midrank_loop
 
 
 def test_confusion_hand_case():
@@ -63,6 +63,25 @@ def test_auc_matches_pair_counting_oracle():
         # coarse grid scores force plenty of ties
         scores = rng.integers(0, 4, size=n) / 3.0
         assert auc_roc(scores, labels) == pytest.approx(auc_pair_count(scores, labels), abs=1e-12)
+
+
+def test_auc_bit_identical_to_midrank_loop():
+    rng = np.random.default_rng(7)
+    grid = np.array([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+    for case in range(600):
+        n = int(rng.integers(2, 300)) if case else 8000
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        kind = case % 3
+        if kind == 0:  # few distinct values, -0.0 and 0.0 mixed
+            scores = rng.choice(grid, size=n)
+        elif kind == 1:  # long runs of ties
+            scores = rng.integers(0, max(2, n // 20), size=n) / 7.0
+        else:
+            scores = rng.standard_normal(n)
+        got = np.float64(auc_roc(scores, labels))
+        want = np.float64(auc_roc_midrank_loop(scores, labels))
+        assert got.view(np.uint64) == want.view(np.uint64), (case, got, want)
 
 
 @settings(max_examples=100, deadline=None)
