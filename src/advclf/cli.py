@@ -8,9 +8,12 @@ key=value lines.
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +58,6 @@ ARCH_PRESETS = {"shallow": (64, 32, 32), "deep": (10, 8, 8, 6, 6, 6)}
 
 
 def _parse_arch(text):
-    if isinstance(text, tuple):
-        return text
     key = text.strip().lower()
     if key in ARCH_PRESETS:
         return ARCH_PRESETS[key]
@@ -72,14 +73,38 @@ def _parse_arch(text):
 
 
 def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
-    low = str(text).strip().lower()
+    low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def nonnegative_int(text):
+    # the seeds' converter: numpy's SeedSequence rejects a negative seed with a bare ValueError
+    value = int(text)
+    if value < 0:
+        raise ConfigError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
+class Option(NamedTuple):
+    """One setting of a subcommand: build_parser makes its flag, _resolve its value."""
+
+    default: object = None
+    convert: Callable = str  # parses the flag's text and the config file's alike
+    help: str | None = None
+    flags: tuple = ()  # flag names, when not the key's own --key-name
+    const: object = None  # if set, the flag takes no value and stores this one
+    choices: list | None = None  # checked by argparse for the flag only
 
 
 def load_config_file(path):
@@ -102,25 +127,38 @@ def load_config_file(path):
     return out
 
 
-def _resolve(args, schema):
+def _resolve(args, table):
     """Merge CLI values (argparse defaults are all None), config file, defaults."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_values) - set(schema)
+    file_values = load_config_file(args.config) if args.config else {}
+    unknown = set(file_values) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     opts = {}
-    for key, (convert, default) in schema.items():
-        cli_value = getattr(args, key, None)
+    for key, option in table.items():
+        cli_value = getattr(args, key)
         if cli_value is not None:
             opts[key] = cli_value
         elif key in file_values:
             try:
-                opts[key] = convert(file_values[key])
-            except (ValueError, TypeError):
+                opts[key] = option.convert(file_values[key])
+            except ValueError:
                 raise ConfigError(f"config key {key}: cannot parse {file_values[key]!r}") from None
         else:
-            opts[key] = default
+            opts[key] = option.default
     return opts
+
+
+def _train_config(opts):
+    """TrainConfig from its like-named settings; built before any data is read, as it checks them."""
+    return TrainConfig(**{f.name: opts[f.name] for f in fields(TrainConfig)})
+
+
+def _trace_summary(trace):
+    return {
+        "final_d_loss": trace.d_loss[-1] if trace.d_loss else None,
+        "final_g_loss": trace.g_loss[-1] if trace.g_loss else None,
+        "final_weight_entropy": trace.weight_entropy[-1] if trace.weight_entropy else None,
+    }
 
 
 def _dump_report(report, out_path):
@@ -141,40 +179,44 @@ def _write_trace_csv(path, trace):
             fh.write(f"{i},adversarial,{d!r},{g!r},{ent!r},{lo!r},{hi!r}\n")
 
 
-TRAIN_SCHEMA = {
-    "data": (str, None),
-    "label_column": (str, "label"),
-    "positive_label": (str, "1"),
-    "synth": (_parse_bool, False),
-    "synth_n": (int, 5000),
-    "synth_ir": (float, 50.0),
-    "synth_dim": (int, 2),
-    "synth_sep": (float, 2.0),
-    "seed": (int, 0),
-    "batch_size": (int, 64),
-    "pretrain_iters": (int, 200),
-    "train_iters": (int, 500),
-    "eta_d": (float, 0.05),
-    "eta_g": (float, 0.05),
-    "gamma": (float, None),
-    "lam": (float, 0.1),
-    "gen_arch": (_parse_arch, ARCH_PRESETS["shallow"]),
-    "standardize": (_parse_bool, True),
-    "eval_every": (int, 0),
-    "reference": (str, None),
-    "out_report": (str, None),
-    "out_trace": (str, None),
+TRAIN_OPTIONS = {
+    "seed": Option(0, nonnegative_int),
+    "data": Option(help="CSV with a header row and a label column"),
+    "label_column": Option("label"),
+    "positive_label": Option("1"),
+    "synth": Option(False, _parse_bool, "train on a generated Gaussian dataset instead of --data",
+                    const=True),
+    "synth_n": Option(5000, int),
+    "synth_ir": Option(50.0, finite_float),
+    "synth_dim": Option(2, int),
+    "synth_sep": Option(2.0, finite_float),
+    "batch_size": Option(64, int),
+    "pretrain_iters": Option(200, int),
+    "train_iters": Option(500, int),
+    "eta_d": Option(0.05, finite_float),
+    "eta_g": Option(0.05, finite_float),
+    "gamma": Option(None, finite_float),
+    "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
+    "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch,
+                       "'shallow', 'deep' or comma-separated hidden widths"),
+    "standardize": Option(True, _parse_bool, flags=("--no-standardize",), const=False),
+    "eval_every": Option(0, int, "validation AUC checkpoint interval"),
+    "reference": Option(help="print a published benchmark row next to this run",
+                        choices=sorted(REFERENCE_ROWS)),
+    "out_report": Option(help="write the JSON report here as well as stdout"),
+    "out_trace": Option(help="write per-iteration losses as CSV"),
 }
 
 
 def cmd_train(args):
-    opts = _resolve(args, TRAIN_SCHEMA)
+    opts = _resolve(args, TRAIN_OPTIONS)
     if bool(opts["data"]) == bool(opts["synth"]):
         raise ConfigError("provide exactly one of --data or --synth")
     # argparse's choices cover only the flag, not a config file's value
     reference = opts["reference"]
     if reference and reference not in REFERENCE_ROWS:
         raise ConfigError(f"unknown reference row {reference!r}; choices: {sorted(REFERENCE_ROWS)}")
+    config = _train_config(opts)
     started = time.monotonic()
     if opts["synth"]:
         spec = SynthSpec(
@@ -190,16 +232,6 @@ def cmd_train(args):
     train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=opts["seed"]))
     if opts["standardize"]:
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
-    config = TrainConfig(
-        batch_size=opts["batch_size"],
-        pretrain_iters=opts["pretrain_iters"],
-        train_iters=opts["train_iters"],
-        eta_d=opts["eta_d"],
-        eta_g=opts["eta_g"],
-        gamma=opts["gamma"],
-        lam=opts["lam"],
-        seed=opts["seed"],
-    )
 
     def val_auc_checkpoint(iteration, disc):
         report = evaluate_binary(predict(disc, val_set.features), val_set.labels)
@@ -233,11 +265,8 @@ def cmd_train(args):
         }
     report = {
         "config": {
-            **{k: opts[k] for k in (
-                "seed", "batch_size", "pretrain_iters", "train_iters",
-                "eta_d", "eta_g", "lam", "standardize", "eval_every",
-            )},
-            "gamma": config.gamma,
+            **asdict(config),
+            **{k: opts[k] for k in ("standardize", "eval_every")},
             "gen_arch": list(opts["gen_arch"]),
             "source": opts["data"] if opts["data"] else {
                 "synth_n": opts["synth_n"],
@@ -255,11 +284,7 @@ def cmd_train(args):
             "train_neg": train_set.n_neg,
         },
         "models": evaluations,
-        "trace_summary": {
-            "final_d_loss": trace.d_loss[-1] if trace.d_loss else None,
-            "final_g_loss": trace.g_loss[-1] if trace.g_loss else None,
-            "final_weight_entropy": trace.weight_entropy[-1] if trace.weight_entropy else None,
-        },
+        "trace_summary": _trace_summary(trace),
         "checkpoints": trace.checkpoints,
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
@@ -280,31 +305,32 @@ def cmd_train(args):
     return 0
 
 
-GRAPH_SCHEMA = {
-    "edges": (str, None),
-    "labels": (str, None),
-    "test_frac": (float, 0.1),
-    "dim": (int, 20),
-    "seed": (int, 0),
-    "batch_size": (int, 1024),
-    "pretrain_iters": (int, 200),
-    "train_iters": (int, 500),
-    "eta_d": (float, 1e-3),
-    "eta_g": (float, 1e-5),
-    "gamma": (float, 1e-3),
-    "lam": (float, 0.1),
-    "gen_arch": (_parse_arch, ARCH_PRESETS["shallow"]),
-    "label_train_frac": (float, 0.9),
-    "label_shuffles": (int, 10),
-    "out_embeddings": (str, None),
-    "out_report": (str, None),
+GRAPH_OPTIONS = {
+    "seed": Option(0, nonnegative_int),
+    "edges": Option(help="edge list file, two integer ids per line"),
+    "labels": Option(help="optional node label file for classification probes"),
+    "test_frac": Option(0.1, finite_float),
+    "dim": Option(20, int),
+    "batch_size": Option(1024, int),
+    "pretrain_iters": Option(200, int),
+    "train_iters": Option(500, int),
+    "eta_d": Option(1e-3, finite_float),
+    "eta_g": Option(1e-5, finite_float),
+    "gamma": Option(1e-3, finite_float),
+    "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
+    "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch),
+    "label_train_frac": Option(0.9, finite_float),
+    "label_shuffles": Option(10, int),
+    "out_embeddings": Option(),
+    "out_report": Option(),
 }
 
 
 def cmd_graph(args):
-    opts = _resolve(args, GRAPH_SCHEMA)
+    opts = _resolve(args, GRAPH_OPTIONS)
     if not opts["edges"]:
         raise ConfigError("--edges is required")
+    config = _train_config(opts)
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
     train_edges, test_pos, test_neg = split_edges(graph, opts["test_frac"], opts["seed"])
@@ -312,26 +338,14 @@ def cmd_graph(args):
         # a bad label file or probe setting fails here, not after training
         node_labels = load_node_labels(opts["labels"], n_nodes=graph.n_nodes)
         check_probe_settings(node_labels, graph.n_nodes, opts["label_train_frac"], opts["label_shuffles"])
-    config = TrainConfig(
-        batch_size=opts["batch_size"],
-        pretrain_iters=opts["pretrain_iters"],
-        train_iters=opts["train_iters"],
-        eta_d=opts["eta_d"],
-        eta_g=opts["eta_g"],
-        gamma=opts["gamma"],
-        lam=opts["lam"],
-        seed=opts["seed"],
-    )
     disc, _, trace = train_graph(
         config, graph, train_edges, dim=opts["dim"], gen_hidden=opts["gen_arch"]
     )
     link_report = link_predict_eval(disc, test_pos, test_neg)
     report = {
         "config": {
-            **{k: opts[k] for k in (
-                "seed", "batch_size", "pretrain_iters", "train_iters",
-                "eta_d", "eta_g", "gamma", "lam", "dim", "test_frac",
-            )},
+            **asdict(config),
+            **{k: opts[k] for k in ("dim", "test_frac")},
             "gen_arch": list(opts["gen_arch"]),
             "edges": opts["edges"],
         },
@@ -342,10 +356,7 @@ def cmd_graph(args):
             "n_test_edges": len(test_pos),
         },
         "link_prediction": link_report.to_dict(),
-        "trace_summary": {
-            "final_d_loss": trace.d_loss[-1] if trace.d_loss else None,
-            "final_weight_entropy": trace.weight_entropy[-1] if trace.weight_entropy else None,
-        },
+        "trace_summary": _trace_summary(trace),
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
     if opts["labels"]:
@@ -362,15 +373,15 @@ def cmd_graph(args):
     return 0
 
 
-THEORY_SCHEMA = {
-    "k": (int, 3),
-    "lam": (float, 0.0),
-    "p_plus": (str, "uniform"),
-    "seed": (int, 0),
-    "max_iters": (int, 200_000),
-    "step": (float, 1.0),
-    "tol": (float, 1e-12),
-    "out": (str, None),
+THEORY_OPTIONS = {
+    "seed": Option(0, nonnegative_int),
+    "k": Option(3, int, "number of support points"),
+    "lam": Option(0.0, finite_float, flags=("--lam", "--lambda")),
+    "p_plus": Option("uniform", str, "'uniform', 'random' or comma-separated probabilities"),
+    "max_iters": Option(200_000, int),
+    "step": Option(1.0, finite_float),
+    "tol": Option(1e-12, finite_float),
+    "out": Option(help="write the JSON result here as well as stdout"),
 }
 
 
@@ -391,13 +402,11 @@ def _build_p_plus(spec, k, seed):
 
 
 def cmd_theory(args):
-    opts = _resolve(args, THEORY_SCHEMA)
+    opts = _resolve(args, THEORY_OPTIONS)
     if opts["k"] < 2:
         raise ConfigError("k must be >= 2")
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
-    config = TheoryConfig(
-        lam=opts["lam"], max_iters=opts["max_iters"], step=opts["step"], tol=opts["tol"]
-    )
+    config = TheoryConfig(**{f.name: opts[f.name] for f in fields(TheoryConfig)})
     result = minimize_generator(p_plus, config)
     payload = {
         "lambda": opts["lam"],
@@ -411,18 +420,18 @@ def cmd_theory(args):
     return 0
 
 
-SYNTH_SCHEMA = {
-    "n": (int, 5000),
-    "ir": (float, 50.0),
-    "dim": (int, 2),
-    "sep": (float, 2.0),
-    "seed": (int, 0),
-    "out": (str, None),
+SYNTH_OPTIONS = {
+    "seed": Option(0, nonnegative_int),
+    "n": Option(5000, int),
+    "ir": Option(50.0, finite_float),
+    "dim": Option(2, int),
+    "sep": Option(2.0, finite_float),
+    "out": Option(),
 }
 
 
 def cmd_synth(args):
-    opts = _resolve(args, SYNTH_SCHEMA)
+    opts = _resolve(args, SYNTH_OPTIONS)
     if not opts["out"]:
         raise ConfigError("--out is required")
     spec = SynthSpec(
@@ -438,88 +447,28 @@ def cmd_synth(args):
     return 0
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value settings file")
-    sub.add_argument("--seed", type=int)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="advclf",
         description="Adversarially re-weighted training for imbalanced binary classification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_train = subs.add_parser("train", help="train on tabular data against three baselines")
-    _add_common(p_train)
-    p_train.add_argument("--data", help="CSV with a header row and a label column")
-    p_train.add_argument("--label-column")
-    p_train.add_argument("--positive-label")
-    p_train.add_argument("--synth", action="store_const", const=True, default=None,
-                         help="train on a generated Gaussian dataset instead of --data")
-    p_train.add_argument("--synth-n", type=int)
-    p_train.add_argument("--synth-ir", type=float)
-    p_train.add_argument("--synth-dim", type=int)
-    p_train.add_argument("--synth-sep", type=float)
-    p_train.add_argument("--batch-size", type=int)
-    p_train.add_argument("--pretrain-iters", type=int)
-    p_train.add_argument("--train-iters", type=int)
-    p_train.add_argument("--eta-d", type=float)
-    p_train.add_argument("--eta-g", type=float)
-    p_train.add_argument("--gamma", type=float)
-    p_train.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p_train.add_argument("--gen-arch", type=_parse_arch,
-                         help="'shallow', 'deep' or comma-separated hidden widths")
-    p_train.add_argument("--no-standardize", action="store_const", const=False,
-                         dest="standardize", default=None)
-    p_train.add_argument("--eval-every", type=int, help="validation AUC checkpoint interval")
-    p_train.add_argument("--reference", choices=sorted(REFERENCE_ROWS),
-                         help="print a published benchmark row next to this run")
-    p_train.add_argument("--out-report", help="write the JSON report here as well as stdout")
-    p_train.add_argument("--out-trace", help="write per-iteration losses as CSV")
-    p_train.set_defaults(func=cmd_train)
-
-    p_graph = subs.add_parser("graph", help="learn node embeddings from an edge list")
-    _add_common(p_graph)
-    p_graph.add_argument("--edges", help="edge list file, two integer ids per line")
-    p_graph.add_argument("--labels", help="optional node label file for classification probes")
-    p_graph.add_argument("--test-frac", type=float)
-    p_graph.add_argument("--dim", type=int)
-    p_graph.add_argument("--batch-size", type=int)
-    p_graph.add_argument("--pretrain-iters", type=int)
-    p_graph.add_argument("--train-iters", type=int)
-    p_graph.add_argument("--eta-d", type=float)
-    p_graph.add_argument("--eta-g", type=float)
-    p_graph.add_argument("--gamma", type=float)
-    p_graph.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p_graph.add_argument("--gen-arch", type=_parse_arch)
-    p_graph.add_argument("--label-train-frac", type=float)
-    p_graph.add_argument("--label-shuffles", type=int)
-    p_graph.add_argument("--out-embeddings")
-    p_graph.add_argument("--out-report")
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_theory = subs.add_parser(
-        "theory", help="solve the idealized weight-distribution problem numerically"
-    )
-    _add_common(p_theory)
-    p_theory.add_argument("--k", type=int, help="number of support points")
-    p_theory.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p_theory.add_argument("--p-plus", help="'uniform', 'random' or comma-separated probabilities")
-    p_theory.add_argument("--max-iters", type=int)
-    p_theory.add_argument("--step", type=float)
-    p_theory.add_argument("--tol", type=float)
-    p_theory.add_argument("--out", help="write the JSON result here as well as stdout")
-    p_theory.set_defaults(func=cmd_theory)
-
-    p_synth = subs.add_parser("synth", help="write a synthetic imbalanced CSV dataset")
-    _add_common(p_synth)
-    p_synth.add_argument("--n", type=int)
-    p_synth.add_argument("--ir", type=float)
-    p_synth.add_argument("--dim", type=int)
-    p_synth.add_argument("--sep", type=float)
-    p_synth.add_argument("--out")
-    p_synth.set_defaults(func=cmd_synth)
+    for name, help_text, table, func in (
+        ("train", "train on tabular data against three baselines", TRAIN_OPTIONS, cmd_train),
+        ("graph", "learn node embeddings from an edge list", GRAPH_OPTIONS, cmd_graph),
+        ("theory", "solve the idealized weight-distribution problem numerically", THEORY_OPTIONS,
+         cmd_theory),
+        ("synth", "write a synthetic imbalanced CSV dataset", SYNTH_OPTIONS, cmd_synth),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key=value settings file")
+        for key, option in table.items():
+            flags = option.flags or ("--" + key.replace("_", "-"),)
+            kind = {"type": option.convert, "choices": option.choices}
+            if option.const is not None:
+                kind = {"action": "store_const", "const": option.const}
+            sub.add_argument(*flags, dest=key, help=option.help, **kind)
+        sub.set_defaults(func=func)
     return parser
 
 

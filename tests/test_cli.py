@@ -6,11 +6,30 @@ import json
 import numpy as np
 import pytest
 
-from advclf.cli import ARCH_PRESETS, REFERENCE_ROWS, load_config_file, main
+from advclf.cli import (
+    ARCH_PRESETS,
+    GRAPH_OPTIONS,
+    REFERENCE_ROWS,
+    SYNTH_OPTIONS,
+    THEORY_OPTIONS,
+    TRAIN_OPTIONS,
+    _resolve,
+    build_parser,
+    load_config_file,
+    main,
+)
+
+OPTION_TABLES = {
+    "train": TRAIN_OPTIONS, "graph": GRAPH_OPTIONS, "theory": THEORY_OPTIONS, "synth": SYNTH_OPTIONS,
+}
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """Exit code, stdout and stderr; argparse's rejection of a flag value counts as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -42,7 +61,7 @@ def small_train_args(**overrides):
 
 
 def fail_if_called(*args, **kwargs):
-    raise AssertionError("training started before the run's inputs were checked")
+    raise AssertionError("called before the run's inputs were checked")
 
 
 def write_clique_edges(path, size=6):
@@ -239,6 +258,60 @@ def test_config_file_missing_or_malformed(tmp_path):
         load_config_file(bad)
 
 
+@pytest.mark.parametrize("command,key", [(c, k) for c, table in OPTION_TABLES.items() for k in table])
+def test_config_file_key_resolves_like_its_flag(tmp_path, command, key):
+    option = OPTION_TABLES[command][key]
+    flag = option.flags[0] if option.flags else "--" + key.replace("_", "-")
+    file_key = "lambda" if key == "lam" else key.replace("_", "-")
+    if option.const is not None:  # --synth and --no-standardize take no value
+        flag_argv, text = [flag], "yes" if option.const else "no"
+    else:
+        text = option.choices[0] if option.choices else "7"
+        flag_argv = [flag, text]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{file_key} = {text}\n")
+    parser = build_parser()
+    from_flag = _resolve(parser.parse_args([command, *flag_argv]), OPTION_TABLES[command])[key]
+    from_file = _resolve(parser.parse_args([command, "--config", str(cfg)]), OPTION_TABLES[command])[key]
+    assert from_flag == from_file != option.default
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["train", "--synth"],
+    ["graph", "--edges", "edges.txt"],
+    ["theory", "--k", "3", "--p-plus", "random"],
+    ["synth", "--out", "data.csv"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv, source):
+    """numpy rejects a negative seed; the option table rejects it first, from a flag or a file."""
+    monkeypatch.chdir(tmp_path)
+    write_clique_edges(tmp_path / "edges.txt")
+    if source == "flag":
+        argv = argv + ["--seed", "-1"]
+    else:
+        (tmp_path / "run.cfg").write_text("seed = -1\n")
+        argv = argv + ["--config", "run.cfg"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "seed" in err
+    assert not (tmp_path / "data.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "data.csv", "--batch-size", "0"],
+    ["graph", "--edges", "edges.txt", "--batch-size", "0"],
+])
+def test_settings_checked_before_data_is_read(capsys, monkeypatch, argv):
+    monkeypatch.setattr("advclf.cli.load_csv", fail_if_called)
+    monkeypatch.setattr("advclf.cli.load_edge_list", fail_if_called)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "batch_size must be >= 1" in err
+
+
 # --- synth subcommand ---
 
 
@@ -339,6 +412,28 @@ GRAPH_ARGS = [
     "--pretrain-iters", "30", "--train-iters", "5",
     "--eta-d", "0.5", "--eta-g", "0.001", "--gen-arch", "4", "--seed", "1",
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--edges", "edges.txt", "--labels", "labels.txt", *GRAPH_ARGS,
+     "--label-train-frac", "nan", "--out-report", "out"],
+    ["graph", "--edges", "edges.txt", *GRAPH_ARGS, "--eta-d", "nan", "--out-report", "out"],
+    ["synth", "--sep", "nan", "--out", "out"],
+    small_train_args(**{"--synth-sep": "nan", "--out-report": "out"}),
+    small_train_args(**{"--eta-d": "nan", "--out-report": "out"}),
+    small_train_args(**{"--lam": "nan", "--out-report": "out"}),
+    small_train_args(**{"--gamma": "nan", "--out-report": "out"}),
+    ["theory", "--tol", "nan", "--out", "out"],
+    ["theory", "--step", "inf", "--out", "out"],
+])
+def test_non_finite_float_setting_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_clique_edges(tmp_path / "edges.txt")
+    (tmp_path / "labels.txt").write_text("".join(f"{i} {int(i >= 6)}\n" for i in range(12)))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_graph_requires_edges(capsys):
