@@ -7,6 +7,8 @@ key=value lines.
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -141,6 +143,8 @@ def _resolve(args, table):
         elif key in file_values:
             try:
                 opts[key] = option.convert(file_values[key])
+            except ConfigError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
             except ValueError:
                 raise ConfigError(f"config key {key}: cannot parse {file_values[key]!r}") from None
         else:
@@ -447,6 +451,19 @@ def cmd_synth(args):
     return 0
 
 
+def _flag_type(convert):
+    """convert as an argparse type: a ConfigError's reason becomes argparse's message."""
+
+    @functools.wraps(convert)
+    def parse(text):
+        try:
+            return convert(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="advclf",
@@ -464,7 +481,7 @@ def build_parser():
         sub.add_argument("--config", help="flat key=value settings file")
         for key, option in table.items():
             flags = option.flags or ("--" + key.replace("_", "-"),)
-            kind = {"type": option.convert, "choices": option.choices}
+            kind = {"type": _flag_type(option.convert), "choices": option.choices}
             if option.const is not None:
                 kind = {"action": "store_const", "const": option.const}
             sub.add_argument(*flags, dest=key, help=option.help, **kind)
@@ -472,7 +489,32 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_allocator():
+    """Keep freed blocks under 4 MiB in the process instead of returning them to the OS.
+
+    A graph step allocates and frees numpy temporaries of 0.25-1 MB. By
+    default glibc raises its mmap threshold as it goes and trims the heap
+    top, so those pages go back to the OS and are faulted in again on the
+    next step. Fixed thresholds (mmap from 4 MiB, trim beyond 16 MiB of free
+    heap top) stop that churn. A no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv=None):
+    _pin_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,6 +6,13 @@ plus a scalar bias; the generator weights negative pairs through an MLP over
 the concatenation of its own embeddings, pair order canonicalized to
 (min, max). Training reuses the tabular module's loop shape and score-space
 objective; this module supplies the embedding lookups and scatter-adds.
+
+The steps update the models they are given in place and touch only the rows
+a batch names, so a step costs O(batch * dim) at any node count;
+_scatter_rows sums each row's contributions bit for bit as np.add.at into a
+zero table would. advclf.cli pins glibc's malloc thresholds, because the
+steps' temporaries would otherwise go back to the OS after every step and
+be faulted in again on the next.
 """
 
 from dataclasses import dataclass
@@ -295,34 +302,78 @@ def generator_pair_weights(gen, pairs):
     return _normalized_weights(forward(gen.mlp, feats)[-1][:, 0])[0]
 
 
+def _scatter_rows(idx, contrib):
+    """Sum the contributions that share a row, bit for bit as np.add.at into zeros does.
+
+    Returns (rows, block): the distinct values of idx and, in block[j], the
+    sum from 0.0 of the contrib rows at rows[j] in their order of occurrence.
+    Sorting the unique keys idx * k + position is a stable argsort: it groups
+    equal indices into runs in occurrence order. Runs are ordered longest
+    first, so round r adds the r-th contribution of every run longer than r
+    into a prefix of the block.
+    """
+    k = len(idx)
+    sorted_idx, order = np.divmod(np.sort(idx * k + np.arange(k)), k)
+    starts = np.flatnonzero(np.concatenate(([True], sorted_idx[1:] != sorted_idx[:-1])))
+    lengths = np.diff(np.append(starts, k))
+    n_runs = len(starts)
+    by_length = np.sort((lengths.max() - lengths) * n_runs + np.arange(n_runs)) % n_runs
+    starts, lengths = starts[by_length], lengths[by_length]
+    runs_left = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    block = np.zeros((n_runs, contrib.shape[1]))
+    for r, n in enumerate(runs_left):
+        block[:n] += contrib[order[starts[:n] + r]]
+    return sorted_idx[starts], block
+
+
 def _graph_disc_update(disc, batch, neg_coeff, eta_d):
-    """One ascent step of the shared discriminator objective on the embedding table."""
-    loss, c_pos, c_neg = _disc_terms(pair_logits(disc, batch.pos), pair_logits(disc, batch.neg), neg_coeff)
-    grad = np.zeros_like(disc.embeddings)
-    for pairs, coeff in ((batch.pos, c_pos), (batch.neg, c_neg)):
-        e_u = disc.embeddings[pairs[:, 0]]
-        e_v = disc.embeddings[pairs[:, 1]]
-        np.add.at(grad, pairs[:, 0], coeff[:, None] * e_v)
-        np.add.at(grad, pairs[:, 1], coeff[:, None] * e_u)
+    """One ascent step of the shared discriminator objective, in place on the touched rows.
+
+    One gather at the partner of each endpoint of [pos; neg] gives both the
+    logits (the einsum of pair_logits on the same row pairs) and, scaled by
+    each pair's coefficient, the contributions that _scatter_rows sums.
+    """
+    (u_pos, v_pos), (u_neg, v_neg) = batch.pos.T, batch.neg.T
+    m = len(u_pos)
+    partners = disc.embeddings[np.concatenate([v_pos, u_pos, v_neg, u_neg])]
+    e_v_pos, e_u_pos = partners[:m], partners[m : 2 * m]
+    e_v_neg, e_u_neg = np.split(partners[2 * m :], 2)
+    loss, c_pos, c_neg = _disc_terms(
+        np.einsum("ij,ij->i", e_u_pos, e_v_pos) + disc.bias,
+        np.einsum("ij,ij->i", e_u_neg, e_v_neg) + disc.bias,
+        neg_coeff,
+    )
+    partners *= np.concatenate([c_pos, c_pos, c_neg, c_neg])[:, None]
+    rows, block = _scatter_rows(np.concatenate([u_pos, v_pos, u_neg, v_neg]), partners)
     grad_bias = float(c_pos.sum() + c_neg.sum())
-    if not (np.all(np.isfinite(grad)) and np.isfinite(grad_bias)):
+    if not (np.all(np.isfinite(block)) and np.isfinite(grad_bias)):
         raise TrainingError("non-finite gradient")
-    return GraphDiscriminator(disc.embeddings + eta_d * grad, disc.bias + eta_d * grad_bias), loss
+    disc.embeddings[rows] += eta_d * block
+    disc.bias += eta_d * grad_bias
+    return disc, loss
 
 
 def graph_pretrain_step(disc, batch, eta_d):
+    """Ascent with uniform negative coefficients 1/m; updates disc in place and returns it."""
     coeff = np.full(len(batch.neg), 1.0 / len(batch.neg))
     return _graph_disc_update(disc, batch, coeff, eta_d)
 
 
 def graph_discriminator_step(config, disc, batch, weights):
-    """Ascent with negative coefficients gamma * m * weights, as in the tabular rule."""
+    """Ascent with negative coefficients gamma * m * weights, as in the tabular rule.
+
+    Updates disc in place and returns it with the loss.
+    """
     coeff = config.gamma * len(batch.neg) * np.asarray(weights, dtype=np.float64)
     return _graph_disc_update(disc, batch, coeff, config.eta_d)
 
 
 def graph_generator_step(config, disc, gen, neg_pairs):
-    """Descent on the weighted term plus entropy; updates the MLP and the table."""
+    """Descent on the weighted term plus entropy; updates gen's MLP and touched rows in place.
+
+    Returns gen with the loss. On a non-finite gradient it raises before
+    changing anything.
+    """
     log_one_minus_d = stable_log_one_minus_sigmoid(pair_logits(disc, neg_pairs))
     feats, lo, hi = _pair_features(gen, neg_pairs)
     acts = forward(gen.mlp, feats)
@@ -330,12 +381,14 @@ def graph_generator_step(config, disc, gen, neg_pairs):
     grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
     new_mlp = sgd_step(gen.mlp, grads, config.eta_g, "descent")
     dim = gen.embeddings.shape[1]
-    emb_grad = np.zeros_like(gen.embeddings)
-    np.add.at(emb_grad, lo, input_grad[:, :dim])
-    np.add.at(emb_grad, hi, input_grad[:, dim:])
-    if not np.all(np.isfinite(emb_grad)):
+    rows, block = _scatter_rows(
+        np.concatenate([lo, hi]), np.concatenate([input_grad[:, :dim], input_grad[:, dim:]])
+    )
+    if not np.all(np.isfinite(block)):
         raise TrainingError("non-finite gradient")
-    return GraphGenerator(gen.embeddings - config.eta_g * emb_grad, new_mlp), loss
+    gen.embeddings[rows] -= config.eta_g * block
+    gen.mlp = new_mlp
+    return gen, loss
 
 
 def train_graph(config, graph, train_edges, dim=20, gen_hidden=(64, 32, 32)):

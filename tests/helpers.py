@@ -2,10 +2,20 @@
 
 import numpy as np
 
+from advclf.adversarial import TrainTrace, _disc_terms, _gen_terms
 from advclf.errors import ConfigError, DataError, TrainingError
-from advclf.graph import PairBatch
+from advclf.graph import (
+    GraphDiscriminator,
+    GraphGenerator,
+    PairBatch,
+    _pair_features,
+    generator_pair_weights,
+    init_graph_models,
+    pair_logits,
+    sample_pair_batch,
+)
 from advclf.metrics import evaluate_binary
-from advclf.nn import finite_difference_grad
+from advclf.nn import backward, finite_difference_grad, forward, sgd_step, stable_log_one_minus_sigmoid
 
 
 def grad_rel_error(analytic, numeric):
@@ -164,3 +174,71 @@ def sample_pair_batch_loop(train_edges, graph, m, rng):
         neg[filled] = pair
         filled += 1
     return PairBatch(pos=pos, neg=neg)
+
+
+# Full-table graph steps: np.add.at into a zero gradient the size of the
+# table, then a fresh model. advclf.graph's steps scatter into the touched
+# rows only and update them in place; they must match these bit for bit.
+
+
+def scatter_add_at(n_rows, idx, contrib):
+    """np.add.at of the rows of contrib at idx into a zero (n_rows, dim) table."""
+    grad = np.zeros((n_rows, contrib.shape[1]))
+    np.add.at(grad, idx, contrib)
+    return grad
+
+
+def graph_disc_update_add_at(disc, batch, neg_coeff, eta_d):
+    """One discriminator ascent step; returns a new GraphDiscriminator and the loss."""
+    loss, c_pos, c_neg = _disc_terms(pair_logits(disc, batch.pos), pair_logits(disc, batch.neg), neg_coeff)
+    grad = np.zeros_like(disc.embeddings)
+    for pairs, coeff in ((batch.pos, c_pos), (batch.neg, c_neg)):
+        e_u = disc.embeddings[pairs[:, 0]]
+        e_v = disc.embeddings[pairs[:, 1]]
+        np.add.at(grad, pairs[:, 0], coeff[:, None] * e_v)
+        np.add.at(grad, pairs[:, 1], coeff[:, None] * e_u)
+    grad_bias = float(c_pos.sum() + c_neg.sum())
+    if not (np.all(np.isfinite(grad)) and np.isfinite(grad_bias)):
+        raise TrainingError("non-finite gradient")
+    return GraphDiscriminator(disc.embeddings + eta_d * grad, disc.bias + eta_d * grad_bias), loss
+
+
+def graph_generator_step_add_at(config, disc, gen, neg_pairs):
+    """One generator descent step; returns a new GraphGenerator and the loss."""
+    log_one_minus_d = stable_log_one_minus_sigmoid(pair_logits(disc, neg_pairs))
+    feats, lo, hi = _pair_features(gen, neg_pairs)
+    acts = forward(gen.mlp, feats)
+    loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
+    grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
+    new_mlp = sgd_step(gen.mlp, grads, config.eta_g, "descent")
+    dim = gen.embeddings.shape[1]
+    emb_grad = np.zeros_like(gen.embeddings)
+    np.add.at(emb_grad, lo, input_grad[:, :dim])
+    np.add.at(emb_grad, hi, input_grad[:, dim:])
+    if not np.all(np.isfinite(emb_grad)):
+        raise TrainingError("non-finite gradient")
+    return GraphGenerator(gen.embeddings - config.eta_g * emb_grad, new_mlp), loss
+
+
+def train_graph_add_at(config, graph, train_edges, dim, gen_hidden):
+    """advclf.graph.train_graph's loop on the full-table steps above."""
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    rng_batches = np.random.default_rng(seeds[2])
+    disc, gen = init_graph_models(
+        graph.n_nodes, dim, gen_hidden, np.random.default_rng(seeds[0]), np.random.default_rng(seeds[1])
+    )
+    train_edges = np.asarray(train_edges, dtype=np.int64)
+    trace = TrainTrace()
+    for _ in range(config.pretrain_iters):
+        batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
+        coeff = np.full(len(batch.neg), 1.0 / len(batch.neg))
+        disc, loss = graph_disc_update_add_at(disc, batch, coeff, config.eta_d)
+        trace.pretrain_d_loss.append(loss)
+    for _ in range(config.train_iters):
+        batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
+        w = generator_pair_weights(gen, batch.neg)
+        coeff = config.gamma * len(batch.neg) * w
+        disc, d_loss = graph_disc_update_add_at(disc, batch, coeff, config.eta_d)
+        gen, g_loss = graph_generator_step_add_at(config, disc, gen, batch.neg)
+        trace.record(d_loss, g_loss, w)
+    return disc, gen, trace

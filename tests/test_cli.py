@@ -2,6 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,7 +238,32 @@ def test_config_file_bad_value(capsys, tmp_path):
     cfg.write_text("batch-size = peanuts\n")
     code, _, err = run_cli(capsys, ["train", "--config", str(cfg), "--synth"])
     assert code == 2
-    assert "batch_size" in err
+    assert "config key batch_size: cannot parse 'peanuts'" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["synth", "--out", "x.csv", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    (["train", "--synth", "--gen-arch", "0"],
+     "argument --gen-arch: generator hidden widths must be positive, got '0'"),
+    (["train", "--synth", "--eta-d", "nan"], "argument --eta-d: expected a finite number, got 'nan'"),
+    (["synth", "--out", "x.csv", "--config", "seed = -1"],
+     "error: config key seed: expected an integer >= 0, got '-1'"),
+    (["train", "--synth", "--config", "eta_d = nan"], "error: config key eta_d: expected a finite number, got 'nan'"),
+    (["graph", "--edges", "e.txt", "--config", "gen-arch = 0"],
+     "error: config key gen_arch: generator hidden widths must be positive, got '0'"),
+])
+def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, argv, reason):
+    """A converter's ConfigError text is the message, from a flag or a config file, with exit 2."""
+    monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (tmp_path / "run.cfg").write_text(argv[at] + "\n")
+        argv = [*argv[:at], "run.cfg", *argv[at + 1:]]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+    assert "invalid" not in err and "cannot parse" not in err
 
 
 def test_config_file_unknown_reference_exits_2_before_training(capsys, tmp_path, monkeypatch):
@@ -549,3 +579,51 @@ def test_arch_presets_echoed(capsys):
     code, out, _ = run_cli(capsys, small_train_args(**{"--gen-arch": "deep"}))
     assert code == 0
     assert json_payload(out)["config"]["gen_arch"] == list(ARCH_PRESETS["deep"])
+
+
+# --- allocator pin ---
+
+
+THEORY_ARGV = ["theory", "--k", "3", "--lam", "0.1", "--max-iters", "200"]
+
+
+def test_main_pins_both_malloc_thresholds(capsys, monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr("advclf.cli.ctypes.CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    code, out, _ = run_cli(capsys, THEORY_ARGV)
+    assert code == 0 and json_payload(out)["k"] == 3
+    assert calls == [(-3, 4 << 20), (-1, 16 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def test_main_runs_without_mallopt(capsys, monkeypatch):
+    expected = run_cli(capsys, THEORY_ARGV)
+    monkeypatch.setattr("advclf.cli.ctypes.CDLL", lambda name: types.SimpleNamespace())
+    assert run_cli(capsys, THEORY_ARGV) == expected
+    code, _, err = run_cli(capsys, ["theory", "--k", "1"])
+    assert code == 2 and "k must be >= 2" in err
+
+
+def test_graph_stdout_same_with_and_without_the_pin(tmp_path):
+    """Fresh processes, so the unpinned run never had the thresholds set."""
+    write_clique_edges(tmp_path / "edges.txt")
+    argv = ["graph", "--edges", "edges.txt", *GRAPH_ARGS]
+    unpinned = (
+        "import sys, types; import advclf.cli as cli;"
+        " cli.ctypes.CDLL = lambda name: types.SimpleNamespace(); sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    reports = []
+    for launch in (["-m", "advclf"], ["-c", unpinned]):
+        done = subprocess.run([sys.executable, *launch, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        report.pop("wall_clock_sec")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]

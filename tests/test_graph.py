@@ -1,10 +1,12 @@
 """Tests for the graph pair-classification application."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+import advclf.graph
 from advclf.adversarial import TrainConfig
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
@@ -24,6 +26,7 @@ from advclf.graph import (
     pair_logits,
     predict_pairs,
     PairBatch,
+    _scatter_rows,
     sample_non_edges,
     sample_pair_batch,
     save_embeddings_csv,
@@ -32,7 +35,15 @@ from advclf.graph import (
     train_graph,
 )
 from advclf.nn import Layer, MlpParams
-from helpers import sample_non_edges_loop, sample_pair_batch_loop, split_edges_loop
+from helpers import (
+    graph_disc_update_add_at,
+    graph_generator_step_add_at,
+    sample_non_edges_loop,
+    sample_pair_batch_loop,
+    scatter_add_at,
+    split_edges_loop,
+    train_graph_add_at,
+)
 
 
 def two_cliques(size=5):
@@ -386,19 +397,20 @@ def test_graph_disc_step_gradient_matches_finite_differences():
     cfg = TrainConfig(batch_size=5, gamma=0.11, eta_d=0.7)
     w = generator_pair_weights(gen, batch.neg)
     coeff = cfg.gamma * 5 * w
+    table, bias = disc.embeddings.copy(), disc.bias  # the step updates disc in place
     new_disc, _ = graph_discriminator_step(cfg, disc, batch, w)
-    analytic = (new_disc.embeddings - disc.embeddings) / cfg.eta_d
+    analytic = (new_disc.embeddings - table) / cfg.eta_d
     eps = 1e-6
-    for idx in np.ndindex(disc.embeddings.shape):
-        bumped = disc.embeddings.copy()
+    for idx in np.ndindex(table.shape):
+        bumped = table.copy()
         bumped[idx] += eps
-        hi = disc_objective(bumped, disc.bias, batch, coeff)
+        hi = disc_objective(bumped, bias, batch, coeff)
         bumped[idx] -= 2 * eps
-        lo = disc_objective(bumped, disc.bias, batch, coeff)
+        lo = disc_objective(bumped, bias, batch, coeff)
         assert analytic[idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4, abs=1e-8)
-    hi = disc_objective(disc.embeddings, disc.bias + eps, batch, coeff)
-    lo = disc_objective(disc.embeddings, disc.bias - eps, batch, coeff)
-    assert (new_disc.bias - disc.bias) / cfg.eta_d == pytest.approx(
+    hi = disc_objective(table, bias + eps, batch, coeff)
+    lo = disc_objective(table, bias - eps, batch, coeff)
+    assert (new_disc.bias - bias) / cfg.eta_d == pytest.approx(
         (hi - lo) / (2 * eps), rel=1e-4, abs=1e-8
     )
 
@@ -412,16 +424,19 @@ def test_graph_gen_step_gradient_matches_finite_differences():
     cfg = TrainConfig(batch_size=4, lam=0.2, eta_g=0.3)
     log1md = -np.logaddexp(0.0, pair_logits(disc, neg))
 
+    mlp = gen.mlp  # the step replaces gen.mlp
+
     def objective(embeddings):
-        probe = GraphGenerator(embeddings, gen.mlp)
+        probe = GraphGenerator(embeddings, mlp)
         w = generator_pair_weights(probe, neg)
         return float(np.sum(w * log1md) + cfg.lam * np.sum(w * np.log(w)))
 
+    table = gen.embeddings.copy()  # the step updates gen in place
     new_gen, _ = graph_generator_step(cfg, disc, gen, neg)
-    analytic = (gen.embeddings - new_gen.embeddings) / cfg.eta_g
+    analytic = (table - new_gen.embeddings) / cfg.eta_g
     eps = 1e-6
-    for idx in np.ndindex(gen.embeddings.shape):
-        bumped = gen.embeddings.copy()
+    for idx in np.ndindex(table.shape):
+        bumped = table.copy()
         bumped[idx] += eps
         hi = objective(bumped)
         bumped[idx] -= 2 * eps
@@ -437,8 +452,10 @@ def test_graph_reduction_identity():
     batch = sample_pair_batch(g.pairs(), g, 6, rng)
     cfg = TrainConfig(batch_size=6, gamma=1.0 / 6.0, eta_d=0.4)
     uniform = np.full(6, 1.0 / 6.0)
-    d_adv, _ = graph_discriminator_step(cfg, disc, batch, uniform)
-    d_pre, _ = graph_pretrain_step(disc, batch, cfg.eta_d)
+    # each step updates its model in place, so each gets its own copy
+    d_adv, _ = graph_discriminator_step(cfg, copy.deepcopy(disc), batch, uniform)
+    d_pre, _ = graph_pretrain_step(copy.deepcopy(disc), batch, cfg.eta_d)
+    assert not np.array_equal(d_pre.embeddings, disc.embeddings)
     assert np.max(np.abs(d_adv.embeddings - d_pre.embeddings)) <= 1e-12
     assert abs(d_adv.bias - d_pre.bias) <= 1e-12
 
@@ -453,6 +470,151 @@ def test_init_graph_models_validation():
     assert disc.embeddings.shape == (5, 4)
     assert np.max(np.abs(disc.embeddings)) <= 0.5 / 4
     assert gen.mlp.in_dim == 8
+
+
+# --- in-place steps against the full-table np.add.at oracle ---
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _draw_scatter_case(kind, rng):
+    """(idx, contrib) of one kind of draw for _scatter_rows."""
+    dim = int(rng.integers(1, 6))
+    if kind == "duplicates":
+        k = int(rng.integers(2, 400))
+        return rng.integers(0, int(rng.integers(1, 30)), size=k), rng.standard_normal((k, dim))
+    if kind == "one_row":
+        k = int(rng.integers(1, 200))
+        return np.full(k, int(rng.integers(0, 50))), rng.standard_normal((k, dim))
+    if kind == "signed_zeros":
+        k = int(rng.integers(1, 60))
+        return rng.integers(0, 5, size=k), rng.choice([0.0, -0.0, 1.0, -1.0], size=(k, dim))
+    if kind == "cancellation":
+        # each value and its negation land on the same row, so rows sum to exactly 0.0
+        half = rng.standard_normal((int(rng.integers(1, 40)), dim))
+        idx = rng.integers(0, 6, size=len(half))
+        return np.concatenate([idx, idx]), np.concatenate([half, -half])
+    assert kind == "batch_of_one"
+    return rng.integers(0, 1000, size=1), rng.choice([0.0, -0.0, 2.5], size=(1, dim))
+
+
+SCATTER_KINDS = ("duplicates", "one_row", "signed_zeros", "cancellation", "batch_of_one")
+
+
+@pytest.mark.parametrize("kind", SCATTER_KINDS)
+def test_scatter_rows_bit_identical_to_add_at(kind):
+    """Each touched row sums from 0.0 in occurrence order, as np.add.at does, raw bits included."""
+    rng = np.random.default_rng(SCATTER_KINDS.index(kind))
+    for _ in range(100):
+        idx, contrib = _draw_scatter_case(kind, rng)
+        rows, block = _scatter_rows(idx, contrib)
+        assert sorted(rows.tolist()) == sorted(set(idx.tolist()))
+        assert block.shape == (len(rows), contrib.shape[1])
+        full = scatter_add_at(int(idx.max()) + 1, idx, contrib)
+        np.testing.assert_array_equal(bits(block), bits(full[rows]))
+
+
+def test_graph_steps_bit_identical_to_full_table_add_at():
+    rng = np.random.default_rng(21)
+    g = sbm_graph([15, 15], 0.4, 0.05, seed=2)
+    disc, gen = init_graph_models(g.n_nodes, 5, (6,), rng, rng)
+    cfg = TrainConfig(batch_size=40, gamma=0.03, eta_d=0.8, eta_g=0.2, lam=0.3)
+    for _ in range(3):
+        batch = sample_pair_batch(g.pairs(), g, 40, rng)
+        w = generator_pair_weights(gen, batch.neg)
+        for step_disc, coeff in (
+            (lambda d: graph_pretrain_step(d, batch, cfg.eta_d), np.full(40, 1.0 / 40)),
+            (lambda d: graph_discriminator_step(cfg, d, batch, w), cfg.gamma * 40 * w),
+        ):
+            expected, exp_loss = graph_disc_update_add_at(disc, batch, coeff, cfg.eta_d)
+            got, loss = step_disc(disc)
+            assert got is disc and loss == exp_loss
+            np.testing.assert_array_equal(bits(got.embeddings), bits(expected.embeddings))
+            assert bits(got.bias) == bits(expected.bias)
+        expected, exp_loss = graph_generator_step_add_at(cfg, disc, gen, batch.neg)
+        got, loss = graph_generator_step(cfg, disc, gen, batch.neg)
+        assert got is gen and loss == exp_loss
+        np.testing.assert_array_equal(bits(got.embeddings), bits(expected.embeddings))
+        for layer, exp_layer in zip(got.mlp.layers, expected.mlp.layers, strict=True):
+            np.testing.assert_array_equal(bits(layer.weight), bits(exp_layer.weight))
+            np.testing.assert_array_equal(bits(layer.bias), bits(exp_layer.bias))
+
+
+def test_train_graph_bit_identical_to_full_table_add_at():
+    g = sbm_graph([20, 20], 0.3, 0.02, seed=4)
+    cfg = TrainConfig(batch_size=64, pretrain_iters=15, train_iters=15, eta_d=1.0, eta_g=1e-2,
+                      gamma=1.0 / 64, lam=1.0, seed=8)
+    got = train_graph(cfg, g, g.pairs(), dim=6, gen_hidden=(5,))
+    expected = train_graph_add_at(cfg, g, g.pairs(), dim=6, gen_hidden=(5,))
+    for model, exp_model in zip(got[:2], expected[:2]):
+        np.testing.assert_array_equal(bits(model.embeddings), bits(exp_model.embeddings))
+    assert bits(got[0].bias) == bits(expected[0].bias)
+    assert got[2].pretrain_d_loss == expected[2].pretrain_d_loss
+    assert got[2].d_loss == expected[2].d_loss and got[2].g_loss == expected[2].g_loss
+
+
+def test_init_graph_models_hold_no_negative_zero():
+    """The steps leave untouched rows as they are, where the full-table update added eta * 0.0.
+
+    x + 0.0 differs from x only at x = -0.0. The uniform init never draws it,
+    and a round-to-nearest sum is -0.0 only when both terms are, so no table
+    ever holds one.
+    """
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        disc, gen = init_graph_models(50_000, 4, (3,), rng, rng)
+        for table in (disc.embeddings, gen.embeddings):
+            assert not np.any((table == 0.0) & np.signbit(table))
+
+
+def _blowup_batch(m=3):
+    """A batch whose pair logits are finite but whose row-1 contributions sum past the float range.
+
+    Positives (0, 1) score -100 and negatives (1, 2) +100, so each positive
+    adds about 1/m * e_0 and each negative about 1/m * -e_2 to row 1; both
+    carry 1.5e308 in column 0, which the logits never see, as e_1[0] == 0.
+    """
+    emb = np.array([[1.5e308, -100.0], [0.0, 1.0], [-1.5e308, 100.0], [0.5, 0.5]])
+    batch = PairBatch(pos=np.tile([0, 1], (m, 1)), neg=np.tile([1, 2], (m, 1)))
+    return emb, batch
+
+
+@pytest.mark.parametrize("step", ["pretrain", "discriminator", "generator"])
+def test_graph_step_with_non_finite_block_changes_nothing(step, monkeypatch):
+    rng = np.random.default_rng(0)
+    emb, batch = _blowup_batch()
+    _, gen = init_graph_models(4, 2, (3,), rng, rng)
+    disc = GraphDiscriminator(emb, 0.25)
+    cfg = TrainConfig(batch_size=3, gamma=1.0 / 3, eta_d=0.1, eta_g=0.1)
+    if step == "generator":
+        # the MLP saturates before its input gradient can overflow, so inject the inf
+        disc = GraphDiscriminator(rng.uniform(-0.1, 0.1, size=(4, 2)), 0.25)
+        real_backward = advclf.graph.backward
+
+        def overflowing_backward(params, acts, delta):
+            grads, input_grad = real_backward(params, acts, delta)
+            input_grad[0, 0] = np.inf
+            return grads, input_grad
+
+        monkeypatch.setattr(advclf.graph, "backward", overflowing_backward)
+    before = (disc.embeddings.copy(), disc.bias, gen.embeddings.copy(), gen.mlp)
+    mlp_before = [(layer.weight.copy(), layer.bias.copy()) for layer in gen.mlp.layers]
+    with pytest.raises(TrainingError, match="non-finite gradient"), np.errstate(over="ignore"):
+        if step == "pretrain":
+            graph_pretrain_step(disc, batch, cfg.eta_d)
+        elif step == "discriminator":
+            graph_discriminator_step(cfg, disc, batch, np.full(3, 1.0 / 3))
+        else:
+            graph_generator_step(cfg, disc, gen, batch.neg)
+    np.testing.assert_array_equal(bits(disc.embeddings), bits(before[0]))
+    assert disc.bias == before[1]
+    np.testing.assert_array_equal(bits(gen.embeddings), bits(before[2]))
+    assert gen.mlp is before[3]
+    for layer, (weight, bias) in zip(gen.mlp.layers, mlp_before):
+        np.testing.assert_array_equal(bits(layer.weight), bits(weight))
+        np.testing.assert_array_equal(bits(layer.bias), bits(bias))
 
 
 # --- training ---
