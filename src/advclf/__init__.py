@@ -8,8 +8,6 @@ weight-distribution problem.
 """
 
 from .adversarial import (
-    Discriminator,
-    Generator,
     TrainConfig,
     TrainTrace,
     classify,
@@ -36,8 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DataError",
-    "Discriminator",
-    "Generator",
     "LabeledDataset",
     "MetricsError",
     "MetricsReport",

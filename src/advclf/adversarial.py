@@ -21,6 +21,11 @@ exactly. All log terms route through the softplus forms on logits, never
 through probabilities. The objective lives once, in score space (_disc_terms,
 _normalized_weights, _gen_terms); graph.py reuses it with its own forward and
 backward passes.
+
+Both models are plain MlpParams: a logistic discriminator (one linear unit)
+and a generator whose raw sample weight is softplus of its one output. Each
+step updates its model in place and returns it with the loss; on a
+non-finite loss or gradient it raises TrainingError before changing anything.
 """
 
 from dataclasses import dataclass, field, replace
@@ -74,20 +79,6 @@ class TrainConfig:
 
 
 @dataclass
-class Discriminator:
-    """Logistic model: one linear unit; the class probability is sigmoid(logit)."""
-
-    params: object
-
-
-@dataclass
-class Generator:
-    """MLP ending in one linear unit; raw sample weights are softplus(output) > 0."""
-
-    params: object
-
-
-@dataclass
 class TrainTrace:
     pretrain_d_loss: list = field(default_factory=list)
     d_loss: list = field(default_factory=list)
@@ -107,18 +98,18 @@ class TrainTrace:
 
 
 def init_discriminator(n_features, rng):
-    return Discriminator(init_mlp((n_features, 1), rng))
+    return init_mlp((n_features, 1), rng)
 
 
 def init_generator(n_features, hidden, rng):
-    return Generator(init_mlp((n_features, *hidden, 1), rng))
+    return init_mlp((n_features, *hidden, 1), rng)
 
 
 def discriminator_logits(disc, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    return forward(disc.params, x)[-1][:, 0]
+    return forward(disc, x)[-1][:, 0]
 
 
 def predict(disc, x):
@@ -145,7 +136,7 @@ def generator_batch_weights(gen, negatives):
     negatives = np.asarray(negatives, dtype=np.float64)
     if negatives.ndim != 2 or negatives.shape[0] == 0:
         raise ConfigError("negatives must be a nonempty 2-d batch")
-    return _normalized_weights(forward(gen.params, negatives)[-1][:, 0])[0]
+    return _normalized_weights(forward(gen, negatives)[-1][:, 0])[0]
 
 
 def batch_weight_entropy(weights):
@@ -179,14 +170,14 @@ def _gen_terms(t, log1m_d, lam):
 
 
 def _disc_update(params, pos_batch, neg_batch, neg_coeff, eta_d):
-    """One ascent step of _disc_terms through the MLP."""
+    """One ascent step of _disc_terms through the MLP, in place."""
     acts_pos = forward(params, pos_batch)
     acts_neg = forward(params, neg_batch)
     loss, g_pos, g_neg = _disc_terms(acts_pos[-1][:, 0], acts_neg[-1][:, 0], neg_coeff)
     grads_pos, _ = backward(params, acts_pos, g_pos[:, None])
     grads_neg, _ = backward(params, acts_neg, g_neg[:, None])
     grads = [(gw_p + gw_n, gb_p + gb_n) for (gw_p, gb_p), (gw_n, gb_n) in zip(grads_pos, grads_neg)]
-    return sgd_step(params, grads, eta_d, "ascent"), loss
+    return sgd_step(params, grads, eta_d), loss
 
 
 def pretrain_step(disc, pos_batch, neg_batch, eta_d):
@@ -194,8 +185,7 @@ def pretrain_step(disc, pos_batch, neg_batch, eta_d):
     pos_batch = np.asarray(pos_batch, dtype=np.float64)
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     coeff = np.full(len(neg_batch), 1.0 / len(neg_batch))
-    params, loss = _disc_update(disc.params, pos_batch, neg_batch, coeff, eta_d)
-    return Discriminator(params), loss
+    return _disc_update(disc, pos_batch, neg_batch, coeff, eta_d)
 
 
 def discriminator_step(config, disc, pos_batch, neg_batch, weights):
@@ -208,18 +198,17 @@ def discriminator_step(config, disc, pos_batch, neg_batch, weights):
     pos_batch = np.asarray(pos_batch, dtype=np.float64)
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     coeff = config.gamma * len(neg_batch) * np.asarray(weights, dtype=np.float64)
-    params, loss = _disc_update(disc.params, pos_batch, neg_batch, coeff, config.eta_d)
-    return Discriminator(params), loss
+    return _disc_update(disc, pos_batch, neg_batch, coeff, config.eta_d)
 
 
 def generator_step(config, disc, gen, neg_batch):
     """One descent step of _gen_terms: sum(w * log(1 - D)) + lam * sum(w * log w)."""
     neg_batch = np.asarray(neg_batch, dtype=np.float64)
     log_one_minus_d = stable_log_one_minus_sigmoid(discriminator_logits(disc, neg_batch))
-    acts = forward(gen.params, neg_batch)
+    acts = forward(gen, neg_batch)
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
-    grads, _ = backward(gen.params, acts, out_grad[:, None])
-    return Generator(sgd_step(gen.params, grads, config.eta_g, "descent")), loss
+    grads, _ = backward(gen, acts, out_grad[:, None])
+    return sgd_step(gen, grads, -config.eta_g), loss
 
 
 def pretrain_discriminator(config, data, disc, rng):

@@ -84,10 +84,24 @@ def _parse_bool(text):
 
 
 def nonnegative_int(text):
-    # the seeds' converter: numpy's SeedSequence rejects a negative seed with a bare ValueError
+    # for seeds too: numpy's SeedSequence rejects a negative seed with a bare ValueError
     value = int(text)
     if value < 0:
         raise ConfigError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ConfigError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def open_fraction(text):
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"expected a number strictly between 0 and 1, got {text!r}")
     return value
 
 
@@ -183,8 +197,9 @@ def _write_trace_csv(path, trace):
             fh.write(f"{i},adversarial,{d!r},{g!r},{ent!r},{lo!r},{hi!r}\n")
 
 
+# TrainConfig's class attributes are its field defaults; the CLI reads them from there.
 TRAIN_OPTIONS = {
-    "seed": Option(0, nonnegative_int),
+    "seed": Option(TrainConfig.seed, nonnegative_int),
     "data": Option(help="CSV with a header row and a label column"),
     "label_column": Option("label"),
     "positive_label": Option("1"),
@@ -194,17 +209,17 @@ TRAIN_OPTIONS = {
     "synth_ir": Option(50.0, finite_float),
     "synth_dim": Option(2, int),
     "synth_sep": Option(2.0, finite_float),
-    "batch_size": Option(64, int),
-    "pretrain_iters": Option(200, int),
-    "train_iters": Option(500, int),
-    "eta_d": Option(0.05, finite_float),
-    "eta_g": Option(0.05, finite_float),
-    "gamma": Option(None, finite_float),
-    "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
+    "batch_size": Option(TrainConfig.batch_size, int),
+    "pretrain_iters": Option(TrainConfig.pretrain_iters, int),
+    "train_iters": Option(TrainConfig.train_iters, int),
+    "eta_d": Option(TrainConfig.eta_d, finite_float),
+    "eta_g": Option(TrainConfig.eta_g, finite_float),
+    "gamma": Option(TrainConfig.gamma, finite_float),
+    "lam": Option(TrainConfig.lam, finite_float, flags=("--lam", "--lambda")),
     "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch,
                        "'shallow', 'deep' or comma-separated hidden widths"),
     "standardize": Option(True, _parse_bool, flags=("--no-standardize",), const=False),
-    "eval_every": Option(0, int, "validation AUC checkpoint interval"),
+    "eval_every": Option(0, nonnegative_int, "validation AUC checkpoint interval"),
     "reference": Option(help="print a published benchmark row next to this run",
                         choices=sorted(REFERENCE_ROWS)),
     "out_report": Option(help="write the JSON report here as well as stdout"),
@@ -313,8 +328,8 @@ GRAPH_OPTIONS = {
     "seed": Option(0, nonnegative_int),
     "edges": Option(help="edge list file, two integer ids per line"),
     "labels": Option(help="optional node label file for classification probes"),
-    "test_frac": Option(0.1, finite_float),
-    "dim": Option(20, int),
+    "test_frac": Option(0.1, open_fraction),
+    "dim": Option(20, positive_int),
     "batch_size": Option(1024, int),
     "pretrain_iters": Option(200, int),
     "train_iters": Option(500, int),
@@ -324,7 +339,7 @@ GRAPH_OPTIONS = {
     "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
     "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch),
     "label_train_frac": Option(0.9, finite_float),
-    "label_shuffles": Option(10, int),
+    "label_shuffles": Option(10, positive_int),
     "out_embeddings": Option(),
     "out_report": Option(),
 }

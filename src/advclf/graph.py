@@ -22,7 +22,7 @@ import numpy as np
 
 from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weights
 from .errors import ConfigError, DataError, TrainingError
-from .metrics import evaluate_binary, macro_micro_f1
+from .metrics import confusion, evaluate_binary, macro_micro_f1
 from .nn import (
     Layer,
     MlpParams,
@@ -379,15 +379,14 @@ def graph_generator_step(config, disc, gen, neg_pairs):
     acts = forward(gen.mlp, feats)
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
     grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
-    new_mlp = sgd_step(gen.mlp, grads, config.eta_g, "descent")
     dim = gen.embeddings.shape[1]
     rows, block = _scatter_rows(
         np.concatenate([lo, hi]), np.concatenate([input_grad[:, :dim], input_grad[:, dim:]])
     )
     if not np.all(np.isfinite(block)):
         raise TrainingError("non-finite gradient")
+    sgd_step(gen.mlp, grads, -config.eta_g)
     gen.embeddings[rows] -= config.eta_g * block
-    gen.mlp = new_mlp
     return gen, loss
 
 
@@ -440,7 +439,7 @@ def _fit_predict_logistic(x_train, y_train, x_test):
         s = forward(params, x_train)[-1][:, 0]
         # backward() for one identity layer, without the unused input gradient
         delta = ((y_train - sigmoid(s)) / n)[:, None]
-        params = sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5, "ascent")
+        sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5)
     return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
 
 
@@ -487,10 +486,7 @@ def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles
                 pred = np.zeros(len(hidden), dtype=int)
             else:
                 pred = _fit_predict_logistic(emb[visible], y_vis, emb[hidden])
-            y_hid = y[hidden, c].astype(int)
-            tp = int(np.sum((pred == 1) & (y_hid == 1)))
-            fp = int(np.sum((pred == 1) & (y_hid == 0)))
-            fn = int(np.sum((pred == 0) & (y_hid == 1)))
+            tp, fp, _, fn = confusion(pred, y[hidden, c].astype(int))
             counts.append((tp, fp, fn))
         macro, micro = macro_micro_f1(counts)
         micros.append(micro)

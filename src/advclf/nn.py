@@ -1,11 +1,12 @@
 """Small dense networks with explicit backpropagation, all in float64 numpy.
 
 A net is its unit counts: every layer but the last is followed by a
-sigmoid, and the last is linear. Parameters live in plain dataclasses and
-every operation returns fresh arrays, so repeated calls with the same inputs
-are reproducible bit for bit and separate parameter objects never share
-state. finite_difference_grad is the deliberately slow oracle that backward
-is checked against.
+sigmoid, and the last is linear. Parameters live in plain dataclasses.
+forward and backward return fresh arrays, so repeated calls with the same
+inputs are reproducible bit for bit. sgd_step is the one operation that
+changes a net: it updates it in place, after checking every gradient, so a
+step that raises leaves the net as it was. finite_difference_grad is the
+deliberately slow oracle that backward is checked against.
 """
 
 from dataclasses import dataclass
@@ -134,16 +135,15 @@ def finite_difference_grad(loss_fn, params, epsilon=1e-5):
     return grads
 
 
-def sgd_step(params, grads, learning_rate, direction="descent"):
-    """theta +/- learning_rate * grad, returned as new params."""
-    if learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
-    if direction not in ("ascent", "descent"):
-        raise ConfigError(f"direction must be 'ascent' or 'descent', got {direction!r}")
-    step = (1.0 if direction == "ascent" else -1.0) * learning_rate
-    layers = []
-    for layer, (gw, gb) in zip(params.layers, grads, strict=True):
+def sgd_step(params, grads, step):
+    """theta += step * grad in place, returning params; step > 0 ascends, step < 0 descends.
+
+    A non-finite gradient raises TrainingError before any layer changes.
+    """
+    for _, (gw, gb) in zip(params.layers, grads, strict=True):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise TrainingError("non-finite gradient")
-        layers.append(Layer(layer.weight + step * gw, layer.bias + step * gb))
-    return MlpParams(layers)
+    for layer, (gw, gb) in zip(params.layers, grads):
+        layer.weight += step * gw
+        layer.bias += step * gb
+    return params

@@ -15,7 +15,14 @@ from advclf.graph import (
     sample_pair_batch,
 )
 from advclf.metrics import evaluate_binary
-from advclf.nn import backward, finite_difference_grad, forward, sgd_step, stable_log_one_minus_sigmoid
+from advclf.nn import (
+    Layer,
+    MlpParams,
+    backward,
+    finite_difference_grad,
+    forward,
+    stable_log_one_minus_sigmoid,
+)
 
 
 def grad_rel_error(analytic, numeric):
@@ -177,8 +184,9 @@ def sample_pair_batch_loop(train_edges, graph, m, rng):
 
 
 # Full-table graph steps: np.add.at into a zero gradient the size of the
-# table, then a fresh model. advclf.graph's steps scatter into the touched
-# rows only and update them in place; they must match these bit for bit.
+# table, then a fresh model, MLP included. advclf.graph's steps scatter into
+# the touched rows only and update them in place; they must match these bit
+# for bit.
 
 
 def scatter_add_at(n_rows, idx, contrib):
@@ -210,13 +218,17 @@ def graph_generator_step_add_at(config, disc, gen, neg_pairs):
     acts = forward(gen.mlp, feats)
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
     grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
-    new_mlp = sgd_step(gen.mlp, grads, config.eta_g, "descent")
     dim = gen.embeddings.shape[1]
     emb_grad = np.zeros_like(gen.embeddings)
     np.add.at(emb_grad, lo, input_grad[:, :dim])
     np.add.at(emb_grad, hi, input_grad[:, dim:])
     if not np.all(np.isfinite(emb_grad)):
         raise TrainingError("non-finite gradient")
+    # a new MLP, not sgd_step: that updates gen.mlp, which the step under test starts from
+    new_mlp = MlpParams([
+        Layer(layer.weight - config.eta_g * gw, layer.bias - config.eta_g * gb)
+        for layer, (gw, gb) in zip(gen.mlp.layers, grads, strict=True)
+    ])
     return GraphGenerator(gen.embeddings - config.eta_g * emb_grad, new_mlp), loss
 
 

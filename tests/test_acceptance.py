@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from advclf.adversarial import (
-    Generator,
     TrainConfig,
     discriminator_step,
     generator_batch_weights,
@@ -50,6 +49,7 @@ from advclf.nn import (
     Layer,
     MlpParams,
     backward,
+    clone_params,
     finite_difference_grad,
     forward,
     init_mlp,
@@ -267,25 +267,35 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     neg = rng.normal(size=(m, dim)) + 1.0
     disc = init_discriminator(dim, np.random.default_rng(50))
     seeded = init_generator(dim, hidden=(4,), rng=np.random.default_rng(51))
-    flat_gen = Generator(MlpParams([
+    flat_gen = MlpParams([
         Layer(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-        for layer in seeded.params.layers
-    ]))
+        for layer in seeded.layers
+    ])
     config = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.3, seed=0)
-    plain, _ = pretrain_step(disc, pos, neg, config.eta_d)
-    adversarial, _ = discriminator_step(config, disc, pos, neg, generator_batch_weights(flat_gen, neg))
-    diff = max(
-        max(np.abs(a.weight - b.weight).max(), np.abs(a.bias - b.bias).max())
-        for a, b in zip(plain.params.layers, adversarial.params.layers)
+    # each step updates its own copy of disc in place
+    plain, _ = pretrain_step(clone_params(disc), pos, neg, config.eta_d)
+    adversarial, _ = discriminator_step(
+        config, clone_params(disc), pos, neg, generator_batch_weights(flat_gen, neg)
     )
+
+    def distance(x, y):
+        return max(
+            max(np.abs(a.weight - b.weight).max(), np.abs(a.bias - b.bias).max())
+            for a, b in zip(x.layers, y.layers)
+        )
+
+    diff = distance(plain, adversarial)
+    moved = distance(plain, disc)
     elapsed = time.monotonic() - start
-    ok = diff <= 1e-12 and elapsed < 1.0
+    ok = diff <= 1e-12 and moved > 0.0 and elapsed < 1.0
     _log(
         f"[acceptance] criterion 5 {_verdict(ok)}: max parameter distance "
         f"{diff:.2e} between the reduced adversarial step and the pretraining "
-        f"step (need <= 1e-12); {elapsed:.2f}s (limit 1s)"
+        f"step (need <= 1e-12), which moved the model by {moved:.2e} (need > 0); "
+        f"{elapsed:.2f}s (limit 1s)"
     )
     assert diff <= 1e-12, f"reduction identity violated by {diff:.3e}"
+    assert moved > 0.0, "the pretraining step left the discriminator where it was"
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import advclf.adversarial
 from advclf.adversarial import (
-    Discriminator,
-    Generator,
     TrainConfig,
     batch_weight_entropy,
     classify,
@@ -28,6 +27,7 @@ from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.nn import (
     Layer,
     MlpParams,
+    clone_params,
     finite_difference_grad,
     forward,
     softplus,
@@ -92,7 +92,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_zero_generator_gives_uniform_weights():
-    gen = Generator(linear_params(np.zeros((3, 1)), np.zeros(1)))
+    gen = linear_params(np.zeros((3, 1)), np.zeros(1))
     batch = np.arange(12.0).reshape(4, 3)
     w = generator_batch_weights(gen, batch)
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-15)
@@ -100,14 +100,14 @@ def test_zero_generator_gives_uniform_weights():
 
 def test_known_raw_weights_normalize():
     # identity 1x1 net, inputs chosen so softplus gives raw weights 1 and 3
-    gen = Generator(linear_params([[1.0]], [0.0]))
+    gen = linear_params([[1.0]], [0.0])
     batch = np.array([[np.log(np.e - 1.0)], [np.log(np.exp(3.0) - 1.0)]])
     w = generator_batch_weights(gen, batch)
     np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-12)
 
 
 def test_single_sample_weight_is_one():
-    gen = Generator(linear_params([[2.0]], [-1.0]))
+    gen = linear_params([[2.0]], [-1.0])
     w = generator_batch_weights(gen, np.array([[0.3]]))
     assert w.shape == (1,)
     assert w[0] == pytest.approx(1.0, abs=1e-15)
@@ -115,16 +115,16 @@ def test_single_sample_weight_is_one():
 
 def test_degenerate_generator_raises():
     # softplus(-1000) underflows to exactly 0, so the batch total is 0
-    gen = Generator(linear_params([[0.0]], [-1000.0]))
+    gen = linear_params([[0.0]], [-1000.0])
     with pytest.raises(TrainingError, match="degenerate generator"):
         generator_batch_weights(gen, np.array([[1.0], [2.0]]))
-    disc = Discriminator(linear_params([[1.0]], [0.0]))
+    disc = linear_params([[1.0]], [0.0])
     with pytest.raises(TrainingError, match="degenerate generator"):
         generator_step(TrainConfig(batch_size=2), disc, gen, np.array([[1.0], [2.0]]))
 
 
 def test_generator_batch_weights_validates_shape():
-    gen = Generator(linear_params([[1.0]], [0.0]))
+    gen = linear_params([[1.0]], [0.0])
     with pytest.raises(ConfigError):
         generator_batch_weights(gen, np.array([1.0, 2.0]))
     with pytest.raises(ConfigError):
@@ -159,14 +159,16 @@ def test_weights_are_a_distribution(seed, n_features, m):
 def test_gamma_zero_ignores_negatives():
     rng = np.random.default_rng(5)
     disc = init_discriminator(2, rng)
-    gen = Generator(linear_params(np.zeros((2, 1)), np.zeros(1)))
+    gen = linear_params(np.zeros((2, 1)), np.zeros(1))
     cfg = TrainConfig(batch_size=3, gamma=0.0, eta_d=0.1)
     pos = rng.standard_normal((3, 2))
     neg1 = rng.standard_normal((3, 2))
     neg2 = rng.standard_normal((3, 2)) + 7.0
-    d1, _ = discriminator_step(cfg, disc, pos, neg1, generator_batch_weights(gen, neg1))
-    d2, _ = discriminator_step(cfg, disc, pos, neg2, generator_batch_weights(gen, neg2))
-    assert_params_equal(d1.params, d2.params)
+    # the step updates its model in place, so each starts from its own copy
+    d1, _ = discriminator_step(cfg, clone_params(disc), pos, neg1, generator_batch_weights(gen, neg1))
+    d2, _ = discriminator_step(cfg, clone_params(disc), pos, neg2, generator_batch_weights(gen, neg2))
+    assert max_param_diff(d1, disc) > 0.0
+    assert_params_equal(d1, d2)
 
 
 def test_reduction_identity_matches_pretrain():
@@ -174,13 +176,15 @@ def test_reduction_identity_matches_pretrain():
     m = 4
     rng = np.random.default_rng(11)
     disc = init_discriminator(3, rng)
-    gen = Generator(zeroed(init_generator(3, (5,), rng).params))
+    gen = zeroed(init_generator(3, (5,), rng))
     pos = rng.standard_normal((m, 3))
     neg = rng.standard_normal((m, 3))
     cfg = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.2)
-    d_adv, loss_adv = discriminator_step(cfg, disc, pos, neg, generator_batch_weights(gen, neg))
-    d_pre, loss_pre = pretrain_step(disc, pos, neg, cfg.eta_d)
-    assert max_param_diff(d_adv.params, d_pre.params) <= 1e-12
+    w = generator_batch_weights(gen, neg)
+    d_adv, loss_adv = discriminator_step(cfg, clone_params(disc), pos, neg, w)
+    d_pre, loss_pre = pretrain_step(clone_params(disc), pos, neg, cfg.eta_d)
+    assert max_param_diff(d_pre, disc) > 0.0
+    assert max_param_diff(d_adv, d_pre) <= 1e-12
     assert abs(loss_adv - loss_pre) <= 1e-12
 
 
@@ -203,12 +207,13 @@ def test_disc_step_recovers_gradient():
             np.mean(stable_log_sigmoid(s_pos)) + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg))
         )
 
-    new_disc, _ = discriminator_step(cfg, disc, pos, neg, w)
+    new_disc, _ = discriminator_step(cfg, clone_params(disc), pos, neg, w)
+    assert max_param_diff(new_disc, disc) > 0.0
     analytic = [
         ((ln.weight - lo.weight) / cfg.eta_d, (ln.bias - lo.bias) / cfg.eta_d)
-        for lo, ln in zip(disc.params.layers, new_disc.params.layers)
+        for lo, ln in zip(disc.layers, new_disc.layers)
     ]
-    numeric = finite_difference_grad(objective, disc.params)
+    numeric = finite_difference_grad(objective, disc)
     assert grad_rel_error(flatten_param_grads(analytic), flatten_param_grads(numeric)) < 1e-6
 
 
@@ -227,13 +232,54 @@ def test_gen_step_recovers_gradient():
         w = raw / raw.sum()
         return float(np.sum(w * log_one_minus_d) + cfg.lam * np.sum(w * np.log(w)))
 
-    new_gen, _ = generator_step(cfg, disc, gen, neg)
+    new_gen, _ = generator_step(cfg, disc, clone_params(gen), neg)
+    assert max_param_diff(new_gen, gen) > 0.0
     analytic = [
         ((lo.weight - ln.weight) / cfg.eta_g, (lo.bias - ln.bias) / cfg.eta_g)
-        for lo, ln in zip(gen.params.layers, new_gen.params.layers)
+        for lo, ln in zip(gen.layers, new_gen.layers)
     ]
-    numeric = finite_difference_grad(objective, gen.params)
+    numeric = finite_difference_grad(objective, gen)
     assert grad_rel_error(flatten_param_grads(analytic), flatten_param_grads(numeric)) < 1e-6
+
+
+def bits(params):
+    return [a.view(np.uint64).copy() for layer in params.layers for a in (layer.weight, layer.bias)]
+
+
+@pytest.mark.parametrize("cause", ["gradient", "loss"])
+@pytest.mark.parametrize("step", ["pretrain", "discriminator", "generator"])
+def test_step_that_raises_leaves_its_model_unchanged(step, cause, monkeypatch):
+    """Each step checks its loss and every gradient before it updates its model in place."""
+    rng = np.random.default_rng(7)
+    disc = init_discriminator(2, rng)
+    gen = init_generator(2, (3,), rng)
+    pos = rng.standard_normal((4, 2))
+    neg = rng.standard_normal((4, 2))
+    cfg = TrainConfig(batch_size=4, eta_d=0.1, eta_g=0.1)
+    if cause == "loss":
+        # finite weights whose logit on neg[0] overflows: log(1 - D) is -inf there
+        disc = linear_params([[1e308], [0.0]], [0.0])
+        neg[0] = [10.0, 0.0]
+    else:
+        real_backward = advclf.adversarial.backward
+
+        def backward_with_inf(params, acts, delta):
+            grads, input_grad = real_backward(params, acts, delta)
+            grads[-1][1][0] = np.inf  # the last array a layer-by-layer update would reach
+            return grads, input_grad
+
+        monkeypatch.setattr(advclf.adversarial, "backward", backward_with_inf)
+    model = gen if step == "generator" else disc
+    before = bits(model)
+    with pytest.raises(TrainingError, match="non-finite"), np.errstate(over="ignore"):
+        if step == "pretrain":
+            pretrain_step(disc, pos, neg, cfg.eta_d)
+        elif step == "discriminator":
+            discriminator_step(cfg, disc, pos, neg, generator_batch_weights(gen, neg))
+        else:
+            generator_step(cfg, disc, gen, neg)
+    for got, old in zip(bits(model), before, strict=True):
+        np.testing.assert_array_equal(got, old)
 
 
 # --- generator dynamics ---
@@ -242,8 +288,8 @@ def test_gen_step_recovers_gradient():
 def test_generator_upweights_confident_false_positives():
     # D(x1) ~ 0.9, D(x2) ~ 0.1: with lam = 0 the weight must shift toward x1,
     # the negative the discriminator is most wrong about.
-    disc = Discriminator(linear_params([[2.197224577]], [0.0]))
-    gen = Generator(linear_params([[0.0]], [0.0]))
+    disc = linear_params([[2.197224577]], [0.0])
+    gen = linear_params([[0.0]], [0.0])
     neg = np.array([[1.0], [-1.0]])
     before = generator_batch_weights(gen, neg)
     np.testing.assert_allclose(before, [0.5, 0.5])
@@ -256,8 +302,8 @@ def test_generator_upweights_confident_false_positives():
 
 def test_large_lambda_pushes_weights_toward_uniform():
     # flat discriminator, so only the entropy term drives the generator
-    disc = Discriminator(linear_params([[0.0]], [0.0]))
-    gen = Generator(linear_params([[1.0]], [0.0]))
+    disc = linear_params([[0.0]], [0.0])
+    gen = linear_params([[1.0]], [0.0])
     neg = np.array([[np.log(np.e - 1.0)], [np.log(np.exp(3.0) - 1.0)]])
     w0 = generator_batch_weights(gen, neg)
     np.testing.assert_allclose(w0, [0.25, 0.75], atol=1e-12)
@@ -290,8 +336,8 @@ def test_train_is_deterministic():
     cfg = TrainConfig(batch_size=16, pretrain_iters=20, train_iters=15, seed=9)
     d1, g1, t1 = train(cfg, data, gen_spec=(8,))
     d2, g2, t2 = train(cfg, data, gen_spec=(8,))
-    assert_params_equal(d1.params, d2.params)
-    assert_params_equal(g1.params, g2.params)
+    assert_params_equal(d1, d2)
+    assert_params_equal(g1, g2)
     assert t1.d_loss == t2.d_loss
     assert t1.g_loss == t2.g_loss
     assert t1.weight_entropy == t2.weight_entropy
@@ -302,7 +348,7 @@ def test_train_zero_iters_matches_pretrain_only_baseline():
     cfg = TrainConfig(batch_size=16, pretrain_iters=30, train_iters=0, seed=4)
     disc_adv, _, trace_adv = train(cfg, data)
     disc_base, trace_base = train_pretrain_only(cfg, data)
-    assert_params_equal(disc_adv.params, disc_base.params)
+    assert_params_equal(disc_adv, disc_base)
     assert trace_adv.pretrain_d_loss == trace_base.pretrain_d_loss
 
 
@@ -312,7 +358,7 @@ def test_train_zero_iters_leaves_generator_at_init():
     _, gen, _ = train(cfg, data, gen_spec=(6, 4))
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     expected = init_generator(data.n_features, (6, 4), np.random.default_rng(seeds[1]))
-    assert_params_equal(gen.params, expected.params)
+    assert_params_equal(gen, expected)
 
 
 def test_baseline_pairs_with_adversarial_warmup():

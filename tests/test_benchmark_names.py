@@ -1,10 +1,12 @@
-"""The benchmark's per-layer call counts name advclf functions.
+"""The benchmark's per-layer call counts and imports name advclf functions.
 
 Its tracer wraps every public function of the measured modules, so a
 deleted or renamed function would leave its metric empty instead of failing.
 """
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
@@ -25,3 +27,22 @@ def test_every_traced_call_count_names_a_public_function():
         if not public:
             missing.append(name)
     assert not missing, f"BENCHMARK.json traces functions advclf no longer defines: {missing}"
+
+
+def test_every_name_the_benchmark_imports_from_advclf_exists():
+    """perfbench imports advclf's loaders inside functions, so only a run would notice one gone."""
+    files = sorted((BENCHMARK.parent / "perfbench").glob("*.py"))
+    assert files
+    missing = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("advclf") and importlib.util.find_spec(alias.name) is None:
+                        missing.append(f"{path.name}: {alias.name}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.startswith("advclf"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert not missing, f"perfbench imports names advclf no longer defines: {missing}"

@@ -22,6 +22,7 @@ from advclf.cli import (
     build_parser,
     load_config_file,
     main,
+    open_fraction,
 )
 
 OPTION_TABLES = {
@@ -182,7 +183,7 @@ def test_train_negative_eval_every_exits_2(capsys):
     code, out, err = run_cli(capsys, small_train_args(**{"--eval-every": "-3"}))
     assert code == 2
     assert out == ""
-    assert "checkpoint interval must be >= 0" in err
+    assert "argument --eval-every: expected an integer >= 0, got '-3'" in err
 
 
 def test_train_reference_table(capsys):
@@ -296,7 +297,8 @@ def test_config_file_key_resolves_like_its_flag(tmp_path, command, key):
     if option.const is not None:  # --synth and --no-standardize take no value
         flag_argv, text = [flag], "yes" if option.const else "no"
     else:
-        text = option.choices[0] if option.choices else "7"
+        # 7 suits every setting but the fractions, which must lie strictly between 0 and 1
+        text = option.choices[0] if option.choices else "0.7" if option.convert is open_fraction else "7"
         flag_argv = [flag, text]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{file_key} = {text}\n")
@@ -329,17 +331,28 @@ def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv, source):
     assert not (tmp_path / "data.csv").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--data", "data.csv", "--batch-size", "0"],
-    ["graph", "--edges", "edges.txt", "--batch-size", "0"],
-])
-def test_settings_checked_before_data_is_read(capsys, monkeypatch, argv):
-    monkeypatch.setattr("advclf.cli.load_csv", fail_if_called)
-    monkeypatch.setattr("advclf.cli.load_edge_list", fail_if_called)
+CHECKED_BEFORE_READING = [
+    (["train", "--data", "data.csv", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["graph", "--edges", "edges.txt", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["train", "--data", "data.csv", "--eval-every", "-1"],
+     "argument --eval-every: expected an integer >= 0, got '-1'"),
+    (["graph", "--edges", "edges.txt", "--dim", "0"], "argument --dim: expected an integer >= 1, got '0'"),
+    (["graph", "--edges", "edges.txt", "--test-frac", "1.5"],
+     "argument --test-frac: expected a number strictly between 0 and 1, got '1.5'"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--label-shuffles", "0"],
+     "argument --label-shuffles: expected an integer >= 1, got '0'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", CHECKED_BEFORE_READING,
+                         ids=[f"argv{i}" for i in range(len(CHECKED_BEFORE_READING))])
+def test_settings_checked_before_data_is_read(capsys, monkeypatch, argv, message):
+    for loader in ("load_csv", "load_edge_list", "load_node_labels"):
+        monkeypatch.setattr(f"advclf.cli.{loader}", fail_if_called)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert "batch_size must be >= 1" in err
+    assert message in err
 
 
 # --- synth subcommand ---
@@ -521,7 +534,7 @@ def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert out == ""
-    assert "at least one label shuffle" in err
+    assert "argument --label-shuffles: expected an integer >= 1, got '0'" in err
 
 
 @pytest.mark.parametrize("option,value,code,message", [

@@ -34,7 +34,7 @@ from advclf.graph import (
     split_edges,
     train_graph,
 )
-from advclf.nn import Layer, MlpParams
+from advclf.nn import Layer, MlpParams, clone_params
 from helpers import (
     graph_disc_update_add_at,
     graph_generator_step_add_at,
@@ -424,7 +424,7 @@ def test_graph_gen_step_gradient_matches_finite_differences():
     cfg = TrainConfig(batch_size=4, lam=0.2, eta_g=0.3)
     log1md = -np.logaddexp(0.0, pair_logits(disc, neg))
 
-    mlp = gen.mlp  # the step replaces gen.mlp
+    mlp = clone_params(gen.mlp)  # the step updates gen.mlp in place
 
     def objective(embeddings):
         probe = GraphGenerator(embeddings, mlp)

@@ -93,27 +93,33 @@ def test_backward_input_grad_matches_finite_differences():
     assert np.abs(input_grad - numeric).max() < 1e-7
 
 
-def test_sgd_step_directions_and_purity():
+def test_sgd_step_signed_rate_in_place():
     params = MlpParams([Layer(np.array([[1.0]]), np.array([2.0]))])
+    weight, bias = params.layers[0].weight, params.layers[0].bias
     grads = [(np.array([[0.5]]), np.array([0.25]))]
-    up = sgd_step(params, grads, 0.1, "ascent")
-    down = sgd_step(params, grads, 0.1, "descent")
-    assert up.layers[0].weight[0, 0] == pytest.approx(1.05)
-    assert down.layers[0].weight[0, 0] == pytest.approx(0.95)
-    assert up.layers[0].bias[0] == pytest.approx(2.025)
-    # the input object is untouched
-    assert params.layers[0].weight[0, 0] == 1.0
+    assert sgd_step(params, grads, 0.1) is params
+    # the arrays themselves were updated, not replaced
+    assert params.layers[0].weight is weight and params.layers[0].bias is bias
+    assert weight[0, 0] == pytest.approx(1.05)
+    assert bias[0] == pytest.approx(2.025)
+    sgd_step(params, grads, -0.2)
+    assert weight[0, 0] == pytest.approx(0.95)
+    assert bias[0] == pytest.approx(1.975)
 
 
 def test_sgd_step_validates():
-    params = MlpParams([Layer(np.ones((1, 1)), np.zeros(1))])
-    grads = [(np.ones((1, 1)), np.zeros(1))]
-    with pytest.raises(ConfigError):
-        sgd_step(params, grads, 0.0)
-    with pytest.raises(ConfigError):
-        sgd_step(params, grads, 0.1, "sideways")
+    """A non-finite gradient in any layer, or a missing layer, raises before any layer changes."""
+    params = init_mlp((2, 3, 1), np.random.default_rng(0))
+    before = clone_params(params)
+    grads = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in params.layers]
+    grads[-1][1][0] = np.nan
     with pytest.raises(TrainingError):
-        sgd_step(params, [(np.array([[np.nan]]), np.zeros(1))], 0.1)
+        sgd_step(params, grads, 0.1)
+    with pytest.raises(ValueError):
+        sgd_step(params, grads[:1], 0.1)
+    for layer, old in zip(params.layers, before.layers):
+        np.testing.assert_array_equal(layer.weight, old.weight)
+        np.testing.assert_array_equal(layer.bias, old.bias)
 
 
 def test_init_respects_glorot_bounds():
