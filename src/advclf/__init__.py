@@ -10,7 +10,6 @@ weight-distribution problem.
 from .adversarial import (
     TrainConfig,
     TrainTrace,
-    classify,
     predict,
     train,
     train_pretrain_only,
@@ -44,7 +43,6 @@ __all__ = [
     "TrainTrace",
     "TrainingError",
     "auc_roc",
-    "classify",
     "evaluate_binary",
     "fixed_point_residual",
     "load_csv",

@@ -28,6 +28,7 @@ step updates its model in place and returns it with the loss; on a
 non-finite loss or gradient it raises TrainingError before changing anything.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,14 +69,14 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.pretrain_iters < 0 or self.train_iters < 0:
             raise ConfigError("iteration counts must be >= 0")
-        if self.eta_d <= 0 or self.eta_g <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (0.0 < self.eta_d < math.inf and 0.0 < self.eta_g < math.inf):
+            raise ConfigError("learning rates must be finite and positive")
         if self.gamma is None:
             self.gamma = 1.0 / self.batch_size
-        if self.gamma < 0:
-            raise ConfigError("gamma must be >= 0")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ConfigError("gamma must be finite and >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and >= 0")
 
 
 @dataclass
@@ -106,20 +107,12 @@ def init_generator(n_features, hidden, rng):
 
 
 def discriminator_logits(disc, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     return forward(disc, x)[-1][:, 0]
 
 
 def predict(disc, x):
     """P(label 1 | x) for each row of x."""
     return sigmoid(discriminator_logits(disc, x))
-
-
-def classify(disc, x):
-    """Hard labels; probability exactly 0.5 rounds up to class 1."""
-    return (predict(disc, x) >= 0.5).astype(np.int64)
 
 
 def _normalized_weights(t):
@@ -230,7 +223,7 @@ def pretrain_discriminator(config, data, disc, rng):
     return disc, trace
 
 
-def train(config, data, gen_spec=(64, 32, 32), checkpoint_every=0, checkpoint_fn=None):
+def train(config, data, gen_spec, checkpoint_every=0, checkpoint_fn=None):
     """Warm-up followed by alternating discriminator/generator updates.
 
     gen_spec holds the generator's hidden-layer widths; the discriminator is

@@ -171,6 +171,13 @@ def _train_config(opts):
     return TrainConfig(**{f.name: opts[f.name] for f in fields(TrainConfig)})
 
 
+def _check_out_dirs(opts):
+    """Raise before any data is read, not after the run, if an output file's directory is missing."""
+    for key, path in opts.items():
+        if (key == "out" or key.startswith("out_")) and path and not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: no such directory {Path(path).parent}")
+
+
 def _trace_summary(trace):
     return {
         "final_d_loss": trace.d_loss[-1] if trace.d_loss else None,
@@ -197,7 +204,7 @@ def _write_trace_csv(path, trace):
             fh.write(f"{i},adversarial,{d!r},{g!r},{ent!r},{lo!r},{hi!r}\n")
 
 
-# TrainConfig's class attributes are its field defaults; the CLI reads them from there.
+# A dataclass's class attributes are its field defaults; the option tables read them from there.
 TRAIN_OPTIONS = {
     "seed": Option(TrainConfig.seed, nonnegative_int),
     "data": Option(help="CSV with a header row and a label column"),
@@ -205,10 +212,10 @@ TRAIN_OPTIONS = {
     "positive_label": Option("1"),
     "synth": Option(False, _parse_bool, "train on a generated Gaussian dataset instead of --data",
                     const=True),
-    "synth_n": Option(5000, int),
-    "synth_ir": Option(50.0, finite_float),
-    "synth_dim": Option(2, int),
-    "synth_sep": Option(2.0, finite_float),
+    "synth_n": Option(SynthSpec.n_total, int),
+    "synth_ir": Option(SynthSpec.imbalance_ratio, finite_float),
+    "synth_dim": Option(SynthSpec.dim, int),
+    "synth_sep": Option(SynthSpec.class_separation, finite_float),
     "batch_size": Option(TrainConfig.batch_size, int),
     "pretrain_iters": Option(TrainConfig.pretrain_iters, int),
     "train_iters": Option(TrainConfig.train_iters, int),
@@ -236,6 +243,7 @@ def cmd_train(args):
     if reference and reference not in REFERENCE_ROWS:
         raise ConfigError(f"unknown reference row {reference!r}; choices: {sorted(REFERENCE_ROWS)}")
     config = _train_config(opts)
+    _check_out_dirs(opts)
     started = time.monotonic()
     if opts["synth"]:
         spec = SynthSpec(
@@ -279,8 +287,8 @@ def cmd_train(args):
     evaluations = {}
     for name, disc in models.items():
         evaluations[name] = {
-            "validation": evaluate_binary(predict(disc, val_set.features), val_set.labels).to_dict(),
-            "test": evaluate_binary(predict(disc, test_set.features), test_set.labels).to_dict(),
+            "validation": asdict(evaluate_binary(predict(disc, val_set.features), val_set.labels)),
+            "test": asdict(evaluate_binary(predict(disc, test_set.features), test_set.labels)),
         }
     report = {
         "config": {
@@ -338,7 +346,7 @@ GRAPH_OPTIONS = {
     "gamma": Option(1e-3, finite_float),
     "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
     "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch),
-    "label_train_frac": Option(0.9, finite_float),
+    "label_train_frac": Option(0.9, open_fraction),
     "label_shuffles": Option(10, positive_int),
     "out_embeddings": Option(),
     "out_report": Option(),
@@ -350,6 +358,7 @@ def cmd_graph(args):
     if not opts["edges"]:
         raise ConfigError("--edges is required")
     config = _train_config(opts)
+    _check_out_dirs(opts)
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
     train_edges, test_pos, test_neg = split_edges(graph, opts["test_frac"], opts["seed"])
@@ -374,7 +383,7 @@ def cmd_graph(args):
             "n_train_edges": len(train_edges),
             "n_test_edges": len(test_pos),
         },
-        "link_prediction": link_report.to_dict(),
+        "link_prediction": asdict(link_report),
         "trace_summary": _trace_summary(trace),
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
@@ -395,11 +404,11 @@ def cmd_graph(args):
 THEORY_OPTIONS = {
     "seed": Option(0, nonnegative_int),
     "k": Option(3, int, "number of support points"),
-    "lam": Option(0.0, finite_float, flags=("--lam", "--lambda")),
+    "lam": Option(TheoryConfig.lam, finite_float, flags=("--lam", "--lambda")),
     "p_plus": Option("uniform", str, "'uniform', 'random' or comma-separated probabilities"),
-    "max_iters": Option(200_000, int),
-    "step": Option(1.0, finite_float),
-    "tol": Option(1e-12, finite_float),
+    "max_iters": Option(TheoryConfig.max_iters, int),
+    "step": Option(TheoryConfig.step, finite_float),
+    "tol": Option(TheoryConfig.tol, finite_float),
     "out": Option(help="write the JSON result here as well as stdout"),
 }
 
@@ -426,6 +435,7 @@ def cmd_theory(args):
         raise ConfigError("k must be >= 2")
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
     config = TheoryConfig(**{f.name: opts[f.name] for f in fields(TheoryConfig)})
+    _check_out_dirs(opts)
     result = minimize_generator(p_plus, config)
     payload = {
         "lambda": opts["lam"],
@@ -440,11 +450,11 @@ def cmd_theory(args):
 
 
 SYNTH_OPTIONS = {
-    "seed": Option(0, nonnegative_int),
-    "n": Option(5000, int),
-    "ir": Option(50.0, finite_float),
-    "dim": Option(2, int),
-    "sep": Option(2.0, finite_float),
+    "seed": Option(SynthSpec.seed, nonnegative_int),
+    "n": Option(SynthSpec.n_total, int),
+    "ir": Option(SynthSpec.imbalance_ratio, finite_float),
+    "dim": Option(SynthSpec.dim, int),
+    "sep": Option(SynthSpec.class_separation, finite_float),
     "out": Option(),
 }
 
@@ -460,6 +470,7 @@ def cmd_synth(args):
         class_separation=opts["sep"],
         seed=opts["seed"],
     )
+    _check_out_dirs(opts)
     data = synth_gaussian_imbalanced(spec)
     save_csv(opts["out"], data)
     print(f"wrote {opts['out']}: positives={data.n_pos} negatives={data.n_neg}")

@@ -8,6 +8,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,17 +108,11 @@ def save_csv(path, data):
 
 @dataclass(frozen=True)
 class SplitSpec:
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
-    seed: int = 0
+    """A 60/20/20 train/validation/test split; the test part takes what rounding leaves."""
 
-    def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(not 0.0 < f < 1.0 for f in fracs):
-            raise ConfigError(f"split fractions must lie in (0, 1), got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-12:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)!r}")
+    train_frac: ClassVar[float] = 0.6
+    val_frac: ClassVar[float] = 0.2
+    seed: int
 
 
 def _three_way_counts(n, spec):
@@ -171,8 +166,8 @@ def standardize(train, *others):
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_total: int
-    imbalance_ratio: float
+    n_total: int = 5000
+    imbalance_ratio: float = 50.0
     dim: int = 2
     class_separation: float = 2.0
     seed: int = 0
@@ -192,8 +187,8 @@ class SynthSpec:
             raise ConfigError("imbalance_ratio must exceed 1")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        if self.class_separation < 0:
-            raise ConfigError("class_separation must be >= 0")
+        if not 0.0 <= self.class_separation < math.inf:
+            raise ConfigError("class_separation must be finite and >= 0")
         if self.n_minority < 2:
             raise ConfigError(
                 f"minority class would have {self.n_minority} samples, need >= 2"

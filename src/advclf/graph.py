@@ -124,8 +124,8 @@ class NodeLabels:
     n_classes: int
 
 
-def load_node_labels(path, n_nodes=None):
-    """One line per node: node_id followed by one or more label ids."""
+def load_node_labels(path, n_nodes):
+    """Label sets for nodes 0..n_nodes-1 from lines of node_id followed by label ids."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -151,14 +151,17 @@ def load_node_labels(path, n_nodes=None):
         max_label = max(max_label, *labs)
     if not parsed:
         raise DataError(f"{path}: no label lines")
-    size = max_node + 1 if n_nodes is None else n_nodes
-    if max_node >= size:
-        raise DataError(f"{path}: node id {max_node} exceeds node count {size}")
-    labels = [parsed.get(i, set()) for i in range(size)]
+    if max_node >= n_nodes:
+        raise DataError(f"{path}: node id {max_node} exceeds node count {n_nodes}")
+    labels = [parsed.get(i, set()) for i in range(n_nodes)]
     return NodeLabels(labels=labels, n_classes=max_label + 1)
 
 
-def _draw_non_edges(graph, count, rng, budget, distinct):
+# the rejection samplers give up after this many tries per pair asked for
+TRIES_PER_PAIR = 2000
+
+
+def _draw_non_edges(graph, count, rng, distinct):
     """Up to count non-edges by rejection, as (k, 2) canonical pairs in draw order.
 
     A try draws (u, v) = rng.integers(0, n_nodes, size=2) and keeps
@@ -167,8 +170,9 @@ def _draw_non_edges(graph, count, rng, budget, distinct):
     (missing, 2) block, which yields the values and leaves the RNG state of
     that many single tries; at most `missing` of them can be kept, so no
     round draws past the try at which a one-at-a-time loop would stop. After
-    `budget` tries fewer than count pairs come back.
+    TRIES_PER_PAIR * max(count, 1) tries fewer than count pairs come back.
     """
+    budget = TRIES_PER_PAIR * max(count, 1)
     out = np.empty((count, 2), dtype=np.int64)
     seen = np.empty(0, dtype=np.int64)
     filled = tries = 0
@@ -192,9 +196,9 @@ def _draw_non_edges(graph, count, rng, budget, distinct):
     return out[:filled]
 
 
-def sample_non_edges(graph, count, rng, tries_per_sample=2000):
+def sample_non_edges(graph, count, rng):
     """Uniform distinct non-edges by rejection against the full edge set."""
-    pairs = _draw_non_edges(graph, count, rng, tries_per_sample * max(count, 1), distinct=True)
+    pairs = _draw_non_edges(graph, count, rng, distinct=True)
     if len(pairs) < count:
         raise DataError("could not sample enough non-edges: graph too dense")
     return [tuple(pair) for pair in pairs.tolist()]
@@ -243,7 +247,7 @@ def sample_pair_batch(train_edges, graph, m, rng):
         raise DataError("no training edges to sample from")
     edges_arr = np.asarray(train_edges, dtype=np.int64)
     pos = edges_arr[rng.integers(0, len(edges_arr), size=m)]
-    neg = _draw_non_edges(graph, m, rng, 2000 * m, distinct=False)
+    neg = _draw_non_edges(graph, m, rng, distinct=False)
     if len(neg) < m:
         raise TrainingError("negative pair sampling exceeded its rejection budget")
     assert not graph.has_edge(neg[:, 0], neg[:, 1]).any()
@@ -390,7 +394,7 @@ def graph_generator_step(config, disc, gen, neg_pairs):
     return gen, loss
 
 
-def train_graph(config, graph, train_edges, dim=20, gen_hidden=(64, 32, 32)):
+def train_graph(config, graph, train_edges, dim, gen_hidden):
     """Run the training loop where a sample is a node pair.
 
     All randomness derives from config.seed. Returns
@@ -457,7 +461,7 @@ def check_probe_settings(node_labels, n_nodes, train_frac, n_shuffles):
     return n_visible
 
 
-def node_classification_eval(embeddings, node_labels, train_frac=0.9, n_shuffles=10, seed=0):
+def node_classification_eval(embeddings, node_labels, train_frac, n_shuffles, seed):
     """One-vs-all logistic probes on frozen embeddings.
 
     Per shuffle, train_frac of the nodes are visible; a logistic head per

@@ -1,6 +1,6 @@
 """Binary classification metrics from confusion counts plus rank-based ROC-AUC."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class MetricsReport:
     fp: int
     tn: int
     fn: int
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def evaluate_binary(scores, labels):

@@ -22,6 +22,7 @@ is measured rather than assumed: fixed_point_residual reports its max-norm
 gap, which collapses to p = p_plus when lam = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,13 @@ import numpy as np
 from .errors import ConfigError
 
 
-def validate_distribution(p, tol=1e-9):
+def validate_distribution(p):
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise ConfigError("distribution must be a nonempty 1-d array")
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ConfigError("distribution entries must be finite and >= 0")
-    if abs(float(p.sum()) - 1.0) > tol:
+    if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ConfigError(f"distribution must sum to 1, got {float(p.sum())!r}")
     return p
 
@@ -110,14 +111,14 @@ class TheoryConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError("lam must be finite and >= 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError("step must be finite and positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError("tol must be finite and positive")
 
 
 @dataclass
@@ -126,10 +127,9 @@ class MinimizeResult:
     converged: bool
     iterations: int
     objective: float
-    path: list | None = None
 
 
-def minimize_generator(p_plus, config, record_path=False):
+def minimize_generator(p_plus, config):
     """Minimize generator_objective over the simplex from the uniform start.
 
     Multiplicative-weight updates p <- normalize(p * exp(-step * grad)), with
@@ -142,7 +142,6 @@ def minimize_generator(p_plus, config, record_path=False):
     k = p_plus.size
     p = np.full(k, 1.0 / k)
     obj = generator_objective(p, p_plus, config.lam)
-    path = [(p.copy(), obj)] if record_path else None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
@@ -165,12 +164,10 @@ def minimize_generator(p_plus, config, record_path=False):
             break
         delta = float(np.max(np.abs(q - p)))
         p, obj = q, new_obj
-        if record_path:
-            path.append((p.copy(), obj))
         if delta < config.tol:
             converged = True
             break
-    return MinimizeResult(p=p, converged=converged, iterations=iterations, objective=obj, path=path)
+    return MinimizeResult(p=p, converged=converged, iterations=iterations, objective=obj)
 
 
 def fixed_point_residual(p, p_plus, lam):

@@ -35,6 +35,7 @@ from advclf.adversarial import (
     train,
     train_pretrain_only,
 )
+from advclf.cli import ARCH_PRESETS
 from advclf.cli import main as cli_main
 from advclf.data import (
     SplitSpec,
@@ -319,7 +320,7 @@ def test_criterion_06_entropy_monotone_in_lambda(_log):
                 batch_size=m, pretrain_iters=100, train_iters=400,
                 eta_g=5.0, lam=lam, seed=seed,
             )
-            _, _, trace = train(config, train_set)
+            _, _, trace = train(config, train_set, ARCH_PRESETS["shallow"])
             finals.append(trace.weight_entropy[-1])
         medians.append(float(np.median(finals)))
     gap = abs(math.log(m) - medians[-1])
@@ -352,7 +353,7 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
         train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=seed))
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
         config = TrainConfig(seed=seed)
-        adv, _, _ = train(config, train_set)
+        adv, _, _ = train(config, train_set, ARCH_PRESETS["shallow"])
         base, _ = train_pretrain_only(config, train_set)
         auc_adv = evaluate_binary(predict(adv, test_set.features), test_set.labels).auc
         auc_base = evaluate_binary(predict(base, test_set.features), test_set.labels).auc

@@ -9,7 +9,6 @@ import advclf.adversarial
 from advclf.adversarial import (
     TrainConfig,
     batch_weight_entropy,
-    classify,
     discriminator_logits,
     discriminator_step,
     generator_batch_weights,
@@ -34,6 +33,7 @@ from advclf.nn import (
     stable_log_one_minus_sigmoid,
     stable_log_sigmoid,
 )
+from advclf.theory import TheoryConfig
 
 from helpers import flatten_param_grads, grad_rel_error
 
@@ -86,6 +86,32 @@ def test_config_gamma_defaults_to_inverse_batch_size():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         TrainConfig(**kwargs)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(eta_d=NAN),
+    lambda: TrainConfig(eta_g=INF),
+    lambda: TrainConfig(gamma=NAN),
+    lambda: TrainConfig(gamma=INF),
+    lambda: TrainConfig(lam=NAN),
+    lambda: TrainConfig(lam=INF),
+    lambda: TheoryConfig(lam=NAN),
+    lambda: TheoryConfig(step=NAN),
+    lambda: TheoryConfig(step=INF),
+    lambda: TheoryConfig(tol=NAN),
+    lambda: TheoryConfig(tol=INF),
+    lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=NAN),
+    lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=INF),
+], ids=["train-eta_d-nan", "train-eta_g-inf", "train-gamma-nan", "train-gamma-inf", "train-lam-nan",
+        "train-lam-inf", "theory-lam-nan", "theory-step-nan", "theory-step-inf", "theory-tol-nan",
+        "theory-tol-inf", "synth-class_separation-nan", "synth-class_separation-inf"])
+def test_float_settings_reject_nan_and_inf(make):
+    """A library caller is not behind the CLI's finite_float converters; each float field checks itself."""
+    with pytest.raises(ConfigError, match="finite"):
+        make()
 
 
 # --- generator weights ---
@@ -346,7 +372,7 @@ def test_train_is_deterministic():
 def test_train_zero_iters_matches_pretrain_only_baseline():
     data = small_data(seed=2)
     cfg = TrainConfig(batch_size=16, pretrain_iters=30, train_iters=0, seed=4)
-    disc_adv, _, trace_adv = train(cfg, data)
+    disc_adv, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
     disc_base, trace_base = train_pretrain_only(cfg, data)
     assert_params_equal(disc_adv, disc_base)
     assert trace_adv.pretrain_d_loss == trace_base.pretrain_d_loss
@@ -365,7 +391,7 @@ def test_baseline_pairs_with_adversarial_warmup():
     """The warm-up segment of the baseline replays the adversarial run's warm-up batches."""
     data = small_data(seed=6)
     cfg = TrainConfig(batch_size=16, pretrain_iters=25, train_iters=10, seed=13)
-    _, _, trace_adv = train(cfg, data)
+    _, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
     _, trace_base = train_pretrain_only(cfg, data)
     assert len(trace_base.pretrain_d_loss) == cfg.pretrain_iters + cfg.train_iters
     assert trace_base.pretrain_d_loss[: cfg.pretrain_iters] == trace_adv.pretrain_d_loss
@@ -380,7 +406,7 @@ def test_trace_lengths_and_checkpoints():
         seen.append(iteration)
         return iteration
 
-    _, _, trace = train(cfg, data, checkpoint_every=2, checkpoint_fn=snap)
+    _, _, trace = train(cfg, data, (64, 32, 32), checkpoint_every=2, checkpoint_fn=snap)
     assert len(trace.pretrain_d_loss) == 7
     assert len(trace.d_loss) == len(trace.g_loss) == 5
     assert len(trace.weight_entropy) == len(trace.weight_min) == len(trace.weight_max) == 5
@@ -405,7 +431,7 @@ def test_pretrain_separates_easy_data():
     cfg = TrainConfig(batch_size=32, pretrain_iters=300, eta_d=0.5, train_iters=0, seed=2)
     disc = init_discriminator(data.n_features, np.random.default_rng(1))
     disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
-    acc = float(np.mean(classify(disc, data.features) == data.labels))
+    acc = float(np.mean((predict(disc, data.features) >= 0.5) == data.labels))
     assert acc >= 0.95
 
 
@@ -417,4 +443,4 @@ def test_single_pair_sign():
     disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
     p = predict(disc, data.features)
     assert p[0] > 0.5 > p[1]
-    assert classify(disc, data.features).tolist() == [1, 0]
+    assert (predict(disc, data.features) >= 0.5).tolist() == [True, False]

@@ -341,6 +341,8 @@ CHECKED_BEFORE_READING = [
      "argument --test-frac: expected a number strictly between 0 and 1, got '1.5'"),
     (["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--label-shuffles", "0"],
      "argument --label-shuffles: expected an integer >= 1, got '0'"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--label-train-frac", "1.5"],
+     "argument --label-train-frac: expected a number strictly between 0 and 1, got '1.5'"),
 ]
 
 
@@ -353,6 +355,23 @@ def test_settings_checked_before_data_is_read(capsys, monkeypatch, argv, message
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--data", "data.csv"], "--out-report"),
+    (["train", "--data", "data.csv"], "--out-trace"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt"], "--out-report"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt"], "--out-embeddings"),
+])
+def test_missing_output_directory_exits_1_before_data_is_read(capsys, tmp_path, monkeypatch, argv, flag):
+    """Writing the side file after the run would lose the whole run, its report included."""
+    monkeypatch.chdir(tmp_path)
+    for loader in ("load_csv", "load_edge_list", "load_node_labels"):
+        monkeypatch.setattr(f"advclf.cli.{loader}", fail_if_called)
+    code, out, err = run_cli(capsys, argv + [flag, "missing/out.txt"])
+    assert code == 1
+    assert out == ""
+    assert "cannot write missing/out.txt: no such directory missing" in err
 
 
 # --- synth subcommand ---
@@ -539,7 +558,10 @@ def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("option,value,code,message", [
     ("--labels", "absent.txt", 1, "no such file"),
-    ("--label-train-frac", "1.0", 2, "no visible or no hidden nodes"),
+    ("--label-train-frac", "1.0", 2,
+     "argument --label-train-frac: expected a number strictly between 0 and 1, got '1.0'"),
+    ("--label-train-frac", "1.5", 2,
+     "argument --label-train-frac: expected a number strictly between 0 and 1, got '1.5'"),
 ])
 def test_graph_label_probe_inputs_fail_before_training(capsys, tmp_path, monkeypatch, option, value,
                                                        code, message):

@@ -121,10 +121,6 @@ class TestSplit:
         with pytest.raises(DataError):
             split_dataset(data, SplitSpec(seed=0))
 
-    def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            SplitSpec(train_frac=0.5, val_frac=0.2, test_frac=0.2)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=20, max_value=200), st.integers(min_value=0, max_value=2**31))
     def test_split_fuzz_partition(self, n, seed):

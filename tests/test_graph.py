@@ -161,7 +161,7 @@ def test_load_edge_list_collaboration_scale(tmp_path):
 def test_load_node_labels(tmp_path):
     p = tmp_path / "labels.txt"
     p.write_text("0 1\n1 0 2\n3 1\n")
-    nl = load_node_labels(p)
+    nl = load_node_labels(p, n_nodes=4)
     assert nl.n_classes == 3
     assert nl.labels == [{1}, {0, 2}, set(), {1}]
     nl = load_node_labels(p, n_nodes=6)
@@ -181,7 +181,7 @@ def test_load_node_labels_errors(tmp_path, content, fragment):
     p = tmp_path / "bad.txt"
     p.write_text(content)
     with pytest.raises(DataError, match=fragment):
-        load_node_labels(p)
+        load_node_labels(p, n_nodes=5)
 
 
 def test_load_node_labels_node_beyond_count(tmp_path):
@@ -204,7 +204,7 @@ def test_sample_non_edges_path_graph():
 def test_sample_non_edges_dense_graph_fails():
     g = Graph(n_nodes=4, edges=set(itertools.combinations(range(4), 2)))
     with pytest.raises(DataError, match="too dense"):
-        sample_non_edges(g, 1, np.random.default_rng(0), tries_per_sample=100)
+        sample_non_edges(g, 1, np.random.default_rng(0))
 
 
 def test_split_edges_partitions():
@@ -724,7 +724,7 @@ def test_node_classification_handles_class_with_no_visible_positives():
     # class 1 has a single positive node; some shuffles hide it entirely
     labels = [{0}] * 9 + [{1}]
     emb = np.eye(10)
-    out = node_classification_eval(emb, NodeLabels(labels, 2), train_frac=0.5, n_shuffles=6)
+    out = node_classification_eval(emb, NodeLabels(labels, 2), train_frac=0.5, n_shuffles=6, seed=0)
     assert 0.0 <= out["macro_f1_mean"] <= 1.0
     assert out["micro_f1_std"] >= 0.0
 
@@ -732,19 +732,19 @@ def test_node_classification_handles_class_with_no_visible_positives():
 def test_node_classification_validation():
     emb = np.zeros((4, 2))
     with pytest.raises(ConfigError, match="two classes"):
-        node_classification_eval(emb, NodeLabels([{0}] * 4, 1))
+        node_classification_eval(emb, NodeLabels([{0}] * 4, 1), 0.9, 10, 0)
     with pytest.raises(ConfigError, match="label rows"):
-        node_classification_eval(emb, NodeLabels([{0}] * 3, 2))
+        node_classification_eval(emb, NodeLabels([{0}] * 3, 2), 0.9, 10, 0)
     with pytest.raises(ConfigError, match="train_frac"):
-        node_classification_eval(emb, NodeLabels([{0}, {1}, {0}, {1}], 2), train_frac=1.0)
+        node_classification_eval(emb, NodeLabels([{0}, {1}, {0}, {1}], 2), 1.0, 10, 0)
 
 
 def test_node_classification_deterministic():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((20, 4))
     labels = NodeLabels([{int(i >= 10)} for i in range(20)], 2)
-    a = node_classification_eval(emb, labels, n_shuffles=3, seed=5)
-    b = node_classification_eval(emb, labels, n_shuffles=3, seed=5)
+    a = node_classification_eval(emb, labels, train_frac=0.9, n_shuffles=3, seed=5)
+    b = node_classification_eval(emb, labels, train_frac=0.9, n_shuffles=3, seed=5)
     assert a == b
 
 

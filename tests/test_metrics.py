@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,7 +130,7 @@ def test_evaluate_binary_report_fields():
     assert rep.tp == 1 and rep.fp == 1 and rep.tn == 1 and rep.fn == 1
     assert rep.accuracy == pytest.approx(0.5)
     assert rep.auc == pytest.approx(auc_pair_count(scores, labels))
-    d = rep.to_dict()
+    d = asdict(rep)
     assert set(d) == {
         "accuracy", "auc", "precision", "recall", "f1",
         "macro_f1", "micro_f1", "tp", "fp", "tn", "fn",

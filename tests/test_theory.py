@@ -233,19 +233,24 @@ def test_residual_small_at_minimum_with_entropy():
 
 
 def test_solver_path_is_monotone_on_the_simplex():
-    res = minimize_generator(np.array([0.6, 0.3, 0.1]), TheoryConfig(lam=0.2), record_path=True)
-    assert res.path is not None and len(res.path) >= 2
-    objs = [obj for _, obj in res.path]
+    """The solver is deterministic, so the run cut at max_iters = n is the path's n-th point."""
+    p_plus = np.array([0.6, 0.3, 0.1])
+    full = minimize_generator(p_plus, TheoryConfig(lam=0.2))
+    assert full.iterations >= 1
+    path = [
+        minimize_generator(p_plus, TheoryConfig(lam=0.2, max_iters=n)) for n in range(1, full.iterations + 1)
+    ]
+    objs = [generator_objective(np.full(3, 1.0 / 3.0), p_plus, 0.2)] + [res.objective for res in path]
     assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
-    for p, _ in res.path:
-        assert np.all(p >= 0.0)
-        assert float(p.sum()) == pytest.approx(1.0, abs=1e-9)
-    assert objs[-1] == pytest.approx(res.objective)
+    for res in path:
+        assert np.all(res.p >= 0.0)
+        assert float(res.p.sum()) == pytest.approx(1.0, abs=1e-9)
+    assert objs[-1] == pytest.approx(full.objective)
 
 
 def test_solver_path_absent_by_default():
     res = minimize_generator(np.array([0.5, 0.5]), TheoryConfig())
-    assert res.path is None
+    assert not hasattr(res, "path")
     assert res.iterations >= 1
 
 
