@@ -223,16 +223,19 @@ def pretrain_discriminator(config, data, disc, rng):
     return disc, trace
 
 
-def train(config, data, gen_spec, checkpoint_every=0, checkpoint_fn=None):
+def train(config, data, gen_spec, checkpoint=None):
     """Warm-up followed by alternating discriminator/generator updates.
 
     gen_spec holds the generator's hidden-layer widths; the discriminator is
     logistic. Batches are uniform with replacement; iteration counts are fixed,
     there is no early stopping. All randomness derives from config.seed.
+    checkpoint is None or a pair (every, fn): after adversarial iteration i,
+    for i a multiple of every, fn(i, disc) goes to trace.checkpoints.
     Returns (disc, gen, trace).
     """
-    if checkpoint_every < 0:
-        raise ConfigError(f"checkpoint interval must be >= 0, got {checkpoint_every}")
+    every, checkpoint_fn = checkpoint or (1, None)
+    if every < 1:
+        raise ConfigError(f"checkpoint interval must be >= 1, got {every}")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init_d = np.random.default_rng(seeds[0])
     rng_init_g = np.random.default_rng(seeds[1])
@@ -253,7 +256,7 @@ def train(config, data, gen_spec, checkpoint_every=0, checkpoint_fn=None):
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
         trace.record(d_loss, g_loss, w)
-        if checkpoint_every and checkpoint_fn is not None and (i + 1) % checkpoint_every == 0:
+        if checkpoint_fn is not None and (i + 1) % every == 0:
             trace.checkpoints.append(checkpoint_fn(i + 1, disc))
     return disc, gen, trace
 

@@ -268,8 +268,7 @@ def cmd_train(args):
         config,
         train_set,
         gen_spec=opts["gen_arch"],
-        checkpoint_every=opts["eval_every"],
-        checkpoint_fn=val_auc_checkpoint if opts["eval_every"] else None,
+        checkpoint=(opts["eval_every"], val_auc_checkpoint) if opts["eval_every"] else None,
     )
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
     baselines = {

@@ -21,7 +21,6 @@ STD_FLOOR = 1e-12
 class LabeledDataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int in {0, 1}
-    feature_names: list | None = None
 
     @property
     def n(self):
@@ -67,7 +66,6 @@ def load_csv(path, label_column, positive_label):
     if label_column not in header:
         raise DataError(f"{path}: no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
-    feature_names = [h for j, h in enumerate(header) if j != label_idx]
     feats = []
     labels = []
     for lineno, line in rows[1:]:
@@ -94,14 +92,13 @@ def load_csv(path, label_column, positive_label):
     labels_arr = np.asarray(labels, dtype=np.int64)
     if len(set(labels)) == 1:
         warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
-    return LabeledDataset(np.asarray(feats, dtype=np.float64), labels_arr, feature_names)
+    return LabeledDataset(np.asarray(feats, dtype=np.float64), labels_arr)
 
 
 def save_csv(path, data):
-    """Write a LabeledDataset in the format load_csv reads back, labels in column 'label'."""
-    names = data.feature_names or [f"f{i}" for i in range(data.n_features)]
+    """Write a LabeledDataset in the format load_csv reads back: columns f0, f1, ..., label."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([*names, "label"]) + "\n")
+        fh.write(",".join([*(f"f{i}" for i in range(data.n_features)), "label"]) + "\n")
         for row, lab in zip(data.features, data.labels):
             fh.write(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n")
 
@@ -141,9 +138,7 @@ def split_dataset(data, spec):
         parts[1].append(shuffled[a : a + b])
         parts[2].append(shuffled[a + b :])
     indices = [np.concatenate(p) for p in parts]
-    return tuple(
-        LabeledDataset(data.features[idx], data.labels[idx], data.feature_names) for idx in indices
-    )
+    return tuple(LabeledDataset(data.features[idx], data.labels[idx]) for idx in indices)
 
 
 def standardize(train, *others):
@@ -157,10 +152,7 @@ def standardize(train, *others):
         raise DataError("cannot standardize an empty training set")
     mean = train.features.mean(axis=0)
     std = np.maximum(train.features.std(axis=0), STD_FLOOR)
-    out = tuple(
-        LabeledDataset((ds.features - mean) / std, ds.labels, ds.feature_names)
-        for ds in (train, *others)
-    )
+    out = tuple(LabeledDataset((ds.features - mean) / std, ds.labels) for ds in (train, *others))
     return out, mean, std
 
 
@@ -212,8 +204,7 @@ def synth_gaussian_imbalanced(spec):
         [np.ones(spec.n_minority, dtype=np.int64), np.zeros(spec.n_majority, dtype=np.int64)]
     )
     order = rng.permutation(spec.n_total)
-    names = [f"f{i}" for i in range(spec.dim)]
-    return LabeledDataset(features[order], labels[order], names)
+    return LabeledDataset(features[order], labels[order])
 
 
 def undersample_majority(data, rng):
@@ -224,7 +215,7 @@ def undersample_majority(data, rng):
         raise DataError("resampling needs both classes")
     keep_neg = rng.choice(neg, size=min(len(pos), len(neg)), replace=False)
     idx = np.concatenate([pos, keep_neg])
-    return LabeledDataset(data.features[idx], data.labels[idx], data.feature_names)
+    return LabeledDataset(data.features[idx], data.labels[idx])
 
 
 def oversample_minority(data, rng):
@@ -235,4 +226,4 @@ def oversample_minority(data, rng):
         raise DataError("resampling needs both classes")
     extra = rng.choice(pos, size=max(len(neg) - len(pos), 0), replace=True)
     idx = np.concatenate([pos, extra, neg])
-    return LabeledDataset(data.features[idx], data.labels[idx], data.feature_names)
+    return LabeledDataset(data.features[idx], data.labels[idx])

@@ -78,9 +78,18 @@ class Graph:
         return (self.edges[idx] == keys) & inside
 
     def pairs(self):
-        """The edges as (lo, hi) int tuples in ascending order."""
-        lo, hi = np.divmod(self.edges, self.n_nodes)
-        return list(zip(lo.tolist(), hi.tolist()))
+        """The edges as a (n_edges, 2) int64 array of (lo, hi) rows in ascending order."""
+        return np.column_stack(np.divmod(self.edges, self.n_nodes))
+
+
+def _data_lines(path):
+    """(lineno, tokens) for each line of path that is not blank and does not start with '#'."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
 
 
 def load_edge_list(path):
@@ -90,15 +99,9 @@ def load_edge_list(path):
     non-integer tokens are errors naming the line.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
     edges = []
     max_id = -1
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    for lineno, tokens in _data_lines(path):
         if len(tokens) != 2:
             raise DataError(f"{path} line {lineno}: expected two node ids, got {len(tokens)} tokens")
         try:
@@ -116,45 +119,32 @@ def load_edge_list(path):
     return Graph(n_nodes=max_id + 1, edges=edges)
 
 
-@dataclass
-class NodeLabels:
-    """Per-node label sets over classes 0..n_classes-1; index is the node id."""
-
-    labels: list
-    n_classes: int
-
-
 def load_node_labels(path, n_nodes):
-    """Label sets for nodes 0..n_nodes-1 from lines of node_id followed by label ids."""
+    """The (n_nodes, n_classes) 0/1 label matrix from lines of node_id followed by label ids.
+
+    Row i holds node i's labels and n_classes is one past the largest label
+    id; a label given twice for a node, on one line or on two, sets one cell.
+    """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    parsed = {}
-    max_node = -1
-    max_label = -1
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    nodes, labels = [], []
+    for lineno, tokens in _data_lines(path):
         if len(tokens) < 2:
             raise DataError(f"{path} line {lineno}: expected node_id plus at least one label id")
         try:
             values = [int(t) for t in tokens]
         except ValueError:
             raise DataError(f"{path} line {lineno}: non-integer token") from None
-        node, labs = values[0], values[1:]
-        if node < 0 or any(l < 0 for l in labs):
+        if min(values) < 0:
             raise DataError(f"{path} line {lineno}: negative id")
-        parsed.setdefault(node, set()).update(labs)
-        max_node = max(max_node, node)
-        max_label = max(max_label, *labs)
-    if not parsed:
+        nodes += [values[0]] * (len(values) - 1)
+        labels += values[1:]
+    if not nodes:
         raise DataError(f"{path}: no label lines")
-    if max_node >= n_nodes:
-        raise DataError(f"{path}: node id {max_node} exceeds node count {n_nodes}")
-    labels = [parsed.get(i, set()) for i in range(n_nodes)]
-    return NodeLabels(labels=labels, n_classes=max_label + 1)
+    if max(nodes) >= n_nodes:
+        raise DataError(f"{path}: node id {max(nodes)} exceeds node count {n_nodes}")
+    y = np.zeros((n_nodes, max(labels) + 1))
+    y[nodes, labels] = 1.0
+    return y
 
 
 # the rejection samplers give up after this many tries per pair asked for
@@ -201,13 +191,13 @@ def sample_non_edges(graph, count, rng):
     pairs = _draw_non_edges(graph, count, rng, distinct=True)
     if len(pairs) < count:
         raise DataError("could not sample enough non-edges: graph too dense")
-    return [tuple(pair) for pair in pairs.tolist()]
+    return pairs
 
 
 def split_edges(graph, test_frac, seed):
     """Hold out round(test_frac * n_edges) edges plus equally many non-edges.
 
-    Returns (train_edges, test_pos, test_neg) as lists of (u, v) pairs. The
+    Returns (train_edges, test_pos, test_neg) as (k, 2) int64 arrays. The
     negatives are sampled from the non-edges of the original graph, so they
     never collide with train or test edges.
     """
@@ -221,12 +211,9 @@ def split_edges(graph, test_frac, seed):
             " the split needs at least one test edge and one training edge"
         )
     rng = np.random.default_rng(seed)
-    test_mask = np.zeros(len(edges), dtype=bool)
-    test_mask[rng.choice(len(edges), size=n_test, replace=False)] = True
-    test_pos = [edges[i] for i in np.flatnonzero(test_mask)]
-    train_edges = [edges[i] for i in np.flatnonzero(~test_mask)]
-    test_neg = sample_non_edges(graph, n_test, rng)
-    return train_edges, test_pos, test_neg
+    mask = np.zeros(len(edges), dtype=bool)
+    mask[rng.choice(len(edges), size=n_test, replace=False)] = True
+    return edges[~mask], edges[mask], sample_non_edges(graph, n_test, rng)
 
 
 @dataclass
@@ -245,8 +232,7 @@ def sample_pair_batch(train_edges, graph, m, rng):
         raise ConfigError("batch size must be >= 1")
     if not len(train_edges):
         raise DataError("no training edges to sample from")
-    edges_arr = np.asarray(train_edges, dtype=np.int64)
-    pos = edges_arr[rng.integers(0, len(edges_arr), size=m)]
+    pos = train_edges[rng.integers(0, len(train_edges), size=m)]
     neg = _draw_non_edges(graph, m, rng, distinct=False)
     if len(neg) < m:
         raise TrainingError("negative pair sampling exceeded its rejection budget")
@@ -282,7 +268,6 @@ def init_graph_models(n_nodes, dim, gen_hidden, rng_d, rng_g):
 
 
 def pair_logits(disc, pairs):
-    pairs = np.asarray(pairs, dtype=np.int64)
     e_u = disc.embeddings[pairs[:, 0]]
     e_v = disc.embeddings[pairs[:, 1]]
     return np.einsum("ij,ij->i", e_u, e_v) + disc.bias
@@ -294,7 +279,6 @@ def predict_pairs(disc, pairs):
 
 
 def _pair_features(gen, pairs):
-    pairs = np.asarray(pairs, dtype=np.int64)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     return np.hstack([gen.embeddings[lo], gen.embeddings[hi]]), lo, hi
@@ -405,7 +389,6 @@ def train_graph(config, graph, train_edges, dim, gen_hidden):
     rng_init_g = np.random.default_rng(seeds[1])
     rng_batches = np.random.default_rng(seeds[2])
     disc, gen = init_graph_models(graph.n_nodes, dim, gen_hidden, rng_init_d, rng_init_g)
-    train_edges = np.asarray(train_edges, dtype=np.int64)
     trace = TrainTrace()
     for i in range(config.pretrain_iters):
         batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
@@ -430,9 +413,8 @@ def link_predict_eval(disc, test_pos, test_neg):
     """Round the pair probability at 0.5; accuracy and macro-F1 over edge/non-edge."""
     if len(test_pos) == 0 or len(test_neg) == 0:
         raise DataError("empty link prediction test set")
-    pairs = np.vstack([np.asarray(test_pos, dtype=np.int64), np.asarray(test_neg, dtype=np.int64)])
     labels = np.concatenate([np.ones(len(test_pos), dtype=int), np.zeros(len(test_neg), dtype=int)])
-    return evaluate_binary(predict_pairs(disc, pairs), labels)
+    return evaluate_binary(predict_pairs(disc, np.vstack([test_pos, test_neg])), labels)
 
 
 def _fit_predict_logistic(x_train, y_train, x_test):
@@ -447,22 +429,22 @@ def _fit_predict_logistic(x_train, y_train, x_test):
     return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
 
 
-def check_probe_settings(node_labels, n_nodes, train_frac, n_shuffles):
+def check_probe_settings(y, n_nodes, train_frac, n_shuffles):
     """Raise ConfigError unless node_classification_eval can run; returns the visible node count."""
-    if node_labels.n_classes < 2:
+    if y.shape[1] < 2:
         raise ConfigError("need at least two classes")
     if n_shuffles < 1:
         raise ConfigError(f"need at least one label shuffle, got {n_shuffles}")
-    if len(node_labels.labels) != n_nodes:
-        raise ConfigError(f"{len(node_labels.labels)} label rows vs {n_nodes} embedding rows")
+    if y.shape[0] != n_nodes:
+        raise ConfigError(f"{y.shape[0]} label rows vs {n_nodes} embedding rows")
     n_visible = int(round(train_frac * n_nodes))
     if n_visible < 1 or n_visible >= n_nodes:
         raise ConfigError("train_frac leaves no visible or no hidden nodes")
     return n_visible
 
 
-def node_classification_eval(embeddings, node_labels, train_frac, n_shuffles, seed):
-    """One-vs-all logistic probes on frozen embeddings.
+def node_classification_eval(embeddings, y, train_frac, n_shuffles, seed):
+    """One-vs-all logistic probes on frozen embeddings and the 0/1 label matrix y.
 
     Per shuffle, train_frac of the nodes are visible; a logistic head per
     class is fit on the visible embeddings and each hidden node receives
@@ -472,11 +454,7 @@ def node_classification_eval(embeddings, node_labels, train_frac, n_shuffles, se
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
-    n_visible = check_probe_settings(node_labels, n, train_frac, n_shuffles)
-    y = np.zeros((n, node_labels.n_classes))
-    for node, labs in enumerate(node_labels.labels):
-        for c in labs:
-            y[node, c] = 1.0
+    n_visible = check_probe_settings(y, n, train_frac, n_shuffles)
     micros = []
     macros = []
     for child in np.random.SeedSequence(seed).spawn(n_shuffles):
@@ -484,7 +462,7 @@ def node_classification_eval(embeddings, node_labels, train_frac, n_shuffles, se
         perm = rng.permutation(n)
         visible, hidden = perm[:n_visible], perm[n_visible:]
         counts = []
-        for c in range(node_labels.n_classes):
+        for c in range(y.shape[1]):
             y_vis = y[visible, c]
             if y_vis.sum() == 0:
                 pred = np.zeros(len(hidden), dtype=int)
@@ -502,25 +480,6 @@ def node_classification_eval(embeddings, node_labels, train_frac, n_shuffles, se
         "macro_f1_std": float(np.std(macros)),
         "n_shuffles": int(n_shuffles),
     }
-
-
-def sbm_graph(block_sizes, p_in, p_out, seed):
-    """Planted-partition random graph with contiguous node blocks."""
-    if not block_sizes or any(int(s) < 1 for s in block_sizes):
-        raise ConfigError("block sizes must all be >= 1")
-    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
-        raise ConfigError("probabilities must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    n = int(block_of.size)
-    edges = set()
-    for u in range(n):
-        same = block_of[u + 1 :] == block_of[u]
-        probs = np.where(same, p_in, p_out)
-        hits = rng.random(n - u - 1) < probs
-        for offset in np.flatnonzero(hits):
-            edges.add((u, u + 1 + int(offset)))
-    return Graph(n_nodes=n, edges=edges)
 
 
 def save_embeddings_csv(path, embeddings):

@@ -5,6 +5,7 @@ import numpy as np
 from advclf.adversarial import TrainTrace, _disc_terms, _gen_terms
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
+    Graph,
     GraphDiscriminator,
     GraphGenerator,
     PairBatch,
@@ -90,6 +91,25 @@ def sigmoid_two_branch(z):
     return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-zp)), ez / (1.0 + ez))
 
 
+def sbm_graph(block_sizes, p_in, p_out, seed):
+    """Planted-partition random graph with contiguous node blocks."""
+    if not block_sizes or any(int(s) < 1 for s in block_sizes):
+        raise ConfigError("block sizes must all be >= 1")
+    if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
+        raise ConfigError("probabilities must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
+    block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    n = int(block_of.size)
+    edges = set()
+    for u in range(n):
+        same = block_of[u + 1 :] == block_of[u]
+        probs = np.where(same, p_in, p_out)
+        hits = rng.random(n - u - 1) < probs
+        for offset in np.flatnonzero(hits):
+            edges.add((u, u + 1 + int(offset)))
+    return Graph(n_nodes=n, edges=edges)
+
+
 def block_oracle_eval(block_sizes, test_pos, test_neg):
     """Link prediction by the planted partition alone, scored like link_predict_eval.
 
@@ -99,7 +119,7 @@ def block_oracle_eval(block_sizes, test_pos, test_neg):
     scorer that sees just the training graph beats this rule in expectation.
     """
     block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    pairs = np.vstack([np.asarray(test_pos, dtype=np.int64), np.asarray(test_neg, dtype=np.int64)])
+    pairs = np.vstack([test_pos, test_neg])
     labels = np.concatenate([np.ones(len(test_pos), dtype=int), np.zeros(len(test_neg), dtype=int)])
     scores = (block_of[pairs[:, 0]] == block_of[pairs[:, 1]]).astype(np.float64)
     return evaluate_binary(scores, labels)
@@ -119,11 +139,21 @@ def check_backward_vs_fd(params, loss_and_grads, epsilon=1e-5):
 
 # One-try-at-a-time samplers: advclf.graph's block sampler must reproduce
 # their pairs, their errors and the RNG state they leave, draw for draw.
+# They collect (u, v) tuples and return them as (k, 2) int64 arrays.
+
+
+def pair_set(pairs):
+    """The rows of a (k, 2) pair array as a set of (u, v) tuples."""
+    return set(map(tuple, pairs.tolist()))
+
+
+def _pair_array(pairs):
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def sample_non_edges_loop(graph, count, rng, tries_per_sample=2000):
     """Distinct non-edges, one rng.integers(0, n_nodes, size=2) try at a time."""
-    edges = set(graph.pairs())
+    edges = pair_set(graph.pairs())
     seen = set()
     out = []
     budget = tries_per_sample * max(count, 1)
@@ -140,19 +170,19 @@ def sample_non_edges_loop(graph, count, rng, tries_per_sample=2000):
             continue
         seen.add(pair)
         out.append(pair)
-    return out
+    return _pair_array(out)
 
 
 def split_edges_loop(graph, test_frac, seed):
     """split_edges with its negatives drawn by sample_non_edges_loop."""
     rng = np.random.default_rng(seed)
-    edges = sorted(graph.pairs())
+    edges = sorted(pair_set(graph.pairs()))
     n_test = int(round(test_frac * len(edges)))
     test_mask = np.zeros(len(edges), dtype=bool)
     test_mask[rng.choice(len(edges), size=n_test, replace=False)] = True
     test_pos = [edges[i] for i in np.flatnonzero(test_mask)]
     train_edges = [edges[i] for i in np.flatnonzero(~test_mask)]
-    return train_edges, test_pos, sample_non_edges_loop(graph, n_test, rng)
+    return _pair_array(train_edges), _pair_array(test_pos), sample_non_edges_loop(graph, n_test, rng)
 
 
 def sample_pair_batch_loop(train_edges, graph, m, rng):
@@ -161,7 +191,7 @@ def sample_pair_batch_loop(train_edges, graph, m, rng):
         raise ConfigError("batch size must be >= 1")
     if not len(train_edges):
         raise DataError("no training edges to sample from")
-    edges = set(graph.pairs())
+    edges = pair_set(graph.pairs())
     edges_arr = np.asarray(train_edges, dtype=np.int64)
     pos = edges_arr[rng.integers(0, len(edges_arr), size=m)]
     neg = np.empty((m, 2), dtype=np.int64)

@@ -44,7 +44,7 @@ from advclf.data import (
     standardize,
     synth_gaussian_imbalanced,
 )
-from advclf.graph import link_predict_eval, sbm_graph, split_edges, train_graph
+from advclf.graph import link_predict_eval, split_edges, train_graph
 from advclf.metrics import auc_roc, evaluate_binary
 from advclf.nn import (
     Layer,
@@ -65,7 +65,7 @@ from advclf.theory import (
     optimal_discriminator,
     value_v,
 )
-from helpers import auc_pair_count, block_oracle_eval, flatten_param_grads, grad_rel_error
+from helpers import auc_pair_count, block_oracle_eval, flatten_param_grads, grad_rel_error, sbm_graph
 
 LOG4 = math.log(4.0)
 

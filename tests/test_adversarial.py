@@ -351,7 +351,7 @@ def small_data(seed=0, n=400, sep=3.0):
 
 
 def test_pretrain_requires_both_classes():
-    data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64), ["a", "b"])
+    data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
     disc = init_discriminator(2, np.random.default_rng(0))
     with pytest.raises(DataError, match="both classes"):
         pretrain_discriminator(TrainConfig(), data, disc, np.random.default_rng(0))
@@ -406,12 +406,14 @@ def test_trace_lengths_and_checkpoints():
         seen.append(iteration)
         return iteration
 
-    _, _, trace = train(cfg, data, (64, 32, 32), checkpoint_every=2, checkpoint_fn=snap)
+    _, _, trace = train(cfg, data, (64, 32, 32), checkpoint=(2, snap))
     assert len(trace.pretrain_d_loss) == 7
     assert len(trace.d_loss) == len(trace.g_loss) == 5
     assert len(trace.weight_entropy) == len(trace.weight_min) == len(trace.weight_max) == 5
     assert seen == [2, 4]
     assert trace.checkpoints == [2, 4]
+    with pytest.raises(ConfigError, match="checkpoint interval"):
+        train(cfg, data, (64, 32, 32), checkpoint=(0, snap))
 
 
 def test_trace_entropy_bounds():
@@ -437,7 +439,7 @@ def test_pretrain_separates_easy_data():
 
 def test_single_pair_sign():
     # one positive at +1, one negative at -1: the logit must order them
-    data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0], dtype=np.int64), ["f0"])
+    data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0], dtype=np.int64))
     cfg = TrainConfig(batch_size=2, pretrain_iters=100, eta_d=1.0, train_iters=0, seed=0)
     disc = init_discriminator(1, np.random.default_rng(0))
     disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))

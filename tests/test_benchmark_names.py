@@ -1,4 +1,4 @@
-"""The benchmark's per-layer call counts and imports name advclf functions.
+"""The benchmark's per-layer call counts and imports name advclf functions, and its set-up runs.
 
 Its tracer wraps every public function of the measured modules, so a
 deleted or renamed function would leave its metric empty instead of failing.
@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+PERFBENCH = BENCHMARK.parent / "perfbench"
 
 
 def test_every_traced_call_count_names_a_public_function():
@@ -31,7 +32,7 @@ def test_every_traced_call_count_names_a_public_function():
 
 def test_every_name_the_benchmark_imports_from_advclf_exists():
     """perfbench imports advclf's loaders inside functions, so only a run would notice one gone."""
-    files = sorted((BENCHMARK.parent / "perfbench").glob("*.py"))
+    files = sorted(PERFBENCH.glob("*.py"))
     assert files
     missing = []
     for path in files:
@@ -46,3 +47,17 @@ def test_every_name_the_benchmark_imports_from_advclf_exists():
                     if not hasattr(module, alias.name):
                         missing.append(f"{path.name}: {node.module}.{alias.name}")
     assert not missing, f"perfbench imports names advclf no longer defines: {missing}"
+
+
+def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
+    """The benchmark's setup_s path calls advclf's loaders and splitters on each workload's input.
+
+    perfbench only times these calls, so a changed signature or return value
+    would break the benchmark without failing any other test.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        workloads.load_and_split(workload.make_input(0, tmp_path))

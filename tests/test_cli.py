@@ -197,9 +197,10 @@ def test_train_reference_table(capsys):
 
 def test_train_on_csv_written_by_synth(capsys, tmp_path):
     csv = tmp_path / "data.csv"
-    code, out, _ = run_cli(capsys, ["synth", "--n", "400", "--ir", "4", "--out", str(csv)])
+    code, out, _ = run_cli(capsys, ["synth", "--n", "400", "--ir", "4", "--dim", "2", "--out", str(csv)])
     assert code == 0
     assert "positives=80 negatives=320" in out
+    assert csv.read_text(encoding="utf-8").splitlines()[0] == "f0,f1,label"
     code, out, _ = run_cli(
         capsys,
         ["train", "--data", str(csv), "--batch-size", "8",

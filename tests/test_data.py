@@ -26,7 +26,7 @@ def small_dataset(n=10, seed=0, pos_frac=0.5):
         labels[0] = 1
     if labels.sum() == n:
         labels[0] = 0
-    return LabeledDataset(rng.standard_normal((n, 3)), labels, ["a", "b", "c"])
+    return LabeledDataset(rng.standard_normal((n, 3)), labels)
 
 
 class TestLoadCsv:
@@ -36,7 +36,6 @@ class TestLoadCsv:
         data = load_csv(f, "label", "pos")
         assert data.n == 3 and data.n_features == 2
         assert data.n_pos == 1 and data.n_neg == 2
-        assert data.feature_names == ["x", "y"]
         assert data.features[0, 1] == 2.0
 
     def test_missing_file(self, tmp_path):
@@ -74,7 +73,6 @@ class TestLoadCsv:
         back = load_csv(f, "label", "1")
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
-        assert back.feature_names == data.feature_names
 
 
 class TestSplit:
@@ -98,7 +96,7 @@ class TestSplit:
         rng = np.random.default_rng(0)
         labels = np.zeros(100, dtype=np.int64)
         labels[:10] = 1
-        data = LabeledDataset(rng.standard_normal((100, 2)), labels, None)
+        data = LabeledDataset(rng.standard_normal((100, 2)), labels)
         tr, va, te = split_dataset(data, SplitSpec(seed=2))
         assert abs(tr.n_pos - 6) <= 1
         assert abs(va.n_pos - 2) <= 1
@@ -117,7 +115,7 @@ class TestSplit:
         rng = np.random.default_rng(0)
         labels = np.zeros(20, dtype=np.int64)
         labels[:2] = 1
-        data = LabeledDataset(rng.standard_normal((20, 2)), labels, None)
+        data = LabeledDataset(rng.standard_normal((20, 2)), labels)
         with pytest.raises(DataError):
             split_dataset(data, SplitSpec(seed=0))
 
@@ -128,7 +126,7 @@ class TestSplit:
         labels = np.zeros(n, dtype=np.int64)
         labels[: max(3, n // 7)] = 1
         rng.shuffle(labels)
-        data = LabeledDataset(rng.standard_normal((n, 2)), labels, None)
+        data = LabeledDataset(rng.standard_normal((n, 2)), labels)
         tr, va, te = split_dataset(data, SplitSpec(seed=seed))
         assert tr.n + va.n + te.n == n
         assert tr.n_pos + va.n_pos + te.n_pos == int(labels.sum())
@@ -136,19 +134,19 @@ class TestSplit:
 
 class TestStandardize:
     def test_hand_case(self):
-        data = LabeledDataset(np.array([[0.0], [2.0]]), np.array([1, 0]), None)
+        data = LabeledDataset(np.array([[0.0], [2.0]]), np.array([1, 0]))
         (out,), mean, std = standardize(data)
         assert np.allclose(out.features.ravel(), [-1.0, 1.0])
         assert mean[0] == 1.0 and std[0] == 1.0
 
     def test_constant_column_maps_to_zero(self):
-        data = LabeledDataset(np.full((4, 1), 3.5), np.array([1, 0, 1, 0]), None)
+        data = LabeledDataset(np.full((4, 1), 3.5), np.array([1, 0, 1, 0]))
         (out,), _, _ = standardize(data)
         assert np.all(out.features == 0.0)
 
     def test_same_transform_applied_to_others(self):
-        train = LabeledDataset(np.array([[0.0], [2.0]]), np.array([1, 0]), None)
-        test = LabeledDataset(np.array([[1.0]]), np.array([1]), None)
+        train = LabeledDataset(np.array([[0.0], [2.0]]), np.array([1, 0]))
+        test = LabeledDataset(np.array([[1.0]]), np.array([1]))
         (tr, te), mean, std = standardize(train, test)
         assert te.features[0, 0] == 0.0  # equals the train mean
 
@@ -216,7 +214,7 @@ class TestResampling:
         assert all(tuple(r) in pos_rows for r in out.pos_features())
 
     def test_single_class_rejected(self):
-        data = LabeledDataset(np.ones((5, 2)), np.ones(5, dtype=np.int64), None)
+        data = LabeledDataset(np.ones((5, 2)), np.ones(5, dtype=np.int64))
         with pytest.raises(DataError):
             undersample_majority(data, np.random.default_rng(0))
         with pytest.raises(DataError):

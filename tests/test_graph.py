@@ -13,7 +13,6 @@ from advclf.graph import (
     Graph,
     GraphDiscriminator,
     GraphGenerator,
-    NodeLabels,
     generator_pair_weights,
     graph_discriminator_step,
     graph_generator_step,
@@ -30,7 +29,6 @@ from advclf.graph import (
     sample_non_edges,
     sample_pair_batch,
     save_embeddings_csv,
-    sbm_graph,
     split_edges,
     train_graph,
 )
@@ -38,8 +36,10 @@ from advclf.nn import Layer, MlpParams, clone_params
 from helpers import (
     graph_disc_update_add_at,
     graph_generator_step_add_at,
+    pair_set,
     sample_non_edges_loop,
     sample_pair_batch_loop,
+    sbm_graph,
     scatter_add_at,
     split_edges_loop,
     train_graph_add_at,
@@ -58,6 +58,13 @@ def path_graph(n=6):
     return Graph(n_nodes=n, edges=[(i, i + 1) for i in range(n - 1)])
 
 
+def assert_same_pairs(got, expected):
+    """Both are (k, 2) int64 arrays holding the same rows in the same order."""
+    assert got.dtype == expected.dtype == np.int64
+    assert got.shape == expected.shape and got.shape[1:] == (2,)
+    assert np.array_equal(got, expected)
+
+
 # --- the edge-key layout ---
 
 
@@ -66,8 +73,8 @@ def test_graph_edges_are_sorted_unique_keys():
     assert g.edges.dtype == np.int64
     assert g.edges.tolist() == [0 * 5 + 2, 0 * 5 + 4, 1 * 5 + 3]
     assert g.n_edges == 3
-    assert g.pairs() == [(0, 2), (0, 4), (1, 3)]
-    assert all(type(u) is int and type(v) is int for u, v in g.pairs())
+    assert g.pairs().dtype == np.int64 and g.pairs().shape == (3, 2)
+    assert g.pairs().tolist() == [[0, 2], [0, 4], [1, 3]]
 
 
 def test_graph_has_edge_scalar_and_vectorised():
@@ -93,7 +100,7 @@ def test_graph_rejects_pairs_outside_the_node_range(edges):
 def test_edgeless_graph():
     g = sbm_graph([3, 3], 0.0, 0.0, seed=0)
     assert g.n_nodes == 6 and g.n_edges == 0
-    assert g.pairs() == []
+    assert g.pairs().dtype == np.int64 and g.pairs().shape == (0, 2)
     assert not g.has_edge(0, 1)
     np.testing.assert_array_equal(g.has_edge(np.arange(5), np.arange(1, 6)), np.zeros(5, bool))
     with pytest.raises(DataError, match="0 of 0 edges"):
@@ -161,11 +168,15 @@ def test_load_edge_list_collaboration_scale(tmp_path):
 def test_load_node_labels(tmp_path):
     p = tmp_path / "labels.txt"
     p.write_text("0 1\n1 0 2\n3 1\n")
-    nl = load_node_labels(p, n_nodes=4)
-    assert nl.n_classes == 3
-    assert nl.labels == [{1}, {0, 2}, set(), {1}]
-    nl = load_node_labels(p, n_nodes=6)
-    assert len(nl.labels) == 6
+    y = load_node_labels(p, n_nodes=4)
+    assert y.dtype == np.float64 and y.shape == (4, 3)
+    assert y.tolist() == [[0, 1, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0]]
+    y = load_node_labels(p, n_nodes=6)
+    assert y.shape == (6, 3)
+    assert not y[4:].any()
+    # a label repeated on one line, and a node listed on two lines, each set one cell
+    p.write_text("0 1 1\n2 0\n# comment\n2 1\n2 0\n")
+    assert load_node_labels(p, n_nodes=3).tolist() == [[0, 1], [0, 0], [1, 1]]
 
 
 @pytest.mark.parametrize(
@@ -198,7 +209,7 @@ def test_sample_non_edges_path_graph():
     # path 0-1-2: the only non-edge is (0, 2)
     g = Graph(n_nodes=3, edges={(0, 1), (1, 2)})
     out = sample_non_edges(g, 1, np.random.default_rng(0))
-    assert out == [(0, 2)]
+    assert_same_pairs(out, np.array([[0, 2]]))
 
 
 def test_sample_non_edges_dense_graph_fails():
@@ -210,15 +221,18 @@ def test_sample_non_edges_dense_graph_fails():
 def test_split_edges_partitions():
     g = sbm_graph([20, 20], 0.4, 0.05, seed=3)
     train, test_pos, test_neg = split_edges(g, 0.25, seed=7)
+    for part in (train, test_pos, test_neg):
+        assert part.dtype == np.int64 and part.ndim == 2 and part.shape[1] == 2
     assert len(test_pos) == round(0.25 * g.n_edges)
     assert len(test_neg) == len(test_pos)
-    assert set(train) | set(test_pos) == set(g.pairs())
-    assert set(train) & set(test_pos) == set()
+    assert pair_set(train) | pair_set(test_pos) == pair_set(g.pairs())
+    assert pair_set(train) & pair_set(test_pos) == set()
     assert not any(g.has_edge(u, v) for u, v in test_neg)
-    assert len(set(test_neg)) == len(test_neg)
+    assert len(pair_set(test_neg)) == len(test_neg)
     # deterministic in the seed
     again = split_edges(g, 0.25, seed=7)
-    assert again[0] == train and again[1] == test_pos and again[2] == test_neg
+    for got, expected in zip(again, (train, test_pos, test_neg), strict=True):
+        assert_same_pairs(got, expected)
 
 
 def test_split_edges_fails_fast_without_test_or_training_edges():
@@ -238,11 +252,11 @@ def test_split_edges_bad_frac():
 
 def test_sample_pair_batch_counts_and_rejection():
     g = two_cliques(4)
-    train = g.pairs()
-    batch = sample_pair_batch(train, g, 32, np.random.default_rng(1))
+    train = pair_set(g.pairs())
+    batch = sample_pair_batch(g.pairs(), g, 32, np.random.default_rng(1))
     assert batch.pos.shape == (32, 2) and batch.neg.shape == (32, 2)
-    assert all((int(u), int(v)) in train for u, v in batch.pos)
-    assert all((int(u), int(v)) not in train for u, v in batch.neg)
+    assert all(pair in train for pair in pair_set(batch.pos))
+    assert all(pair not in train for pair in pair_set(batch.neg))
 
 
 ORACLE_GRAPHS = {
@@ -275,7 +289,7 @@ def test_sample_non_edges_matches_one_try_loop(name):
     rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     # the last count asks for every non-edge of the small graphs, so late tries hit repeats
     for count in (0, 1, 7, min(n_non_edges, 60)):
-        assert sample_non_edges(g, count, rng) == sample_non_edges_loop(g, count, ref_rng)
+        assert_same_pairs(sample_non_edges(g, count, rng), sample_non_edges_loop(g, count, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -284,7 +298,9 @@ def test_sample_non_edges_matches_one_try_loop(name):
 def test_split_edges_matches_one_try_loop(name, test_frac):
     g = ORACLE_GRAPHS[name]()
     for seed in range(3):
-        assert split_edges(g, test_frac, seed) == split_edges_loop(g, test_frac, seed)
+        got, expected = split_edges(g, test_frac, seed), split_edges_loop(g, test_frac, seed)
+        for got_part, expected_part in zip(got, expected, strict=True):
+            assert_same_pairs(got_part, expected_part)
 
 
 @pytest.mark.parametrize(
@@ -296,7 +312,7 @@ def test_split_edges_matches_one_try_loop(name, test_frac):
         # one non-edge, so a second distinct one never comes
         (sample_non_edges, sample_non_edges_loop, (path_graph(3), 2), DataError),
         (sample_pair_batch, sample_pair_batch_loop,
-         ([(0, 1)], Graph(n_nodes=3, edges=[(0, 1), (0, 2), (1, 2)]), 3), TrainingError),
+         (np.array([[0, 1]]), Graph(n_nodes=3, edges=[(0, 1), (0, 2), (1, 2)]), 3), TrainingError),
     ],
 )
 def test_samplers_exhaust_their_budget_like_the_loop(sampler, oracle, args, error):
@@ -326,12 +342,12 @@ def test_sample_pair_batch_positive_frequencies_uniform():
 def test_sample_pair_batch_errors():
     g = Graph(n_nodes=3, edges={(0, 1)})
     with pytest.raises(ConfigError):
-        sample_pair_batch([(0, 1)], g, 0, np.random.default_rng(0))
+        sample_pair_batch(np.array([[0, 1]]), g, 0, np.random.default_rng(0))
     with pytest.raises(DataError, match="no training edges"):
-        sample_pair_batch([], g, 4, np.random.default_rng(0))
+        sample_pair_batch(np.empty((0, 2), dtype=np.int64), g, 4, np.random.default_rng(0))
     dense = Graph(n_nodes=3, edges={(0, 1), (0, 2), (1, 2)})
     with pytest.raises(TrainingError, match="rejection budget"):
-        sample_pair_batch([(0, 1)], dense, 4, np.random.default_rng(0))
+        sample_pair_batch(np.array([[0, 1]]), dense, 4, np.random.default_rng(0))
 
 
 # --- models and updates ---
@@ -624,13 +640,13 @@ def test_train_graph_learns_two_cliques():
     """Intra-block pairs must outscore cross pairs after training on the cliques."""
     g = two_cliques(5)
     intra = g.pairs()
-    inter = [(u, v) for u in range(5) for v in range(5, 10)]
+    inter = np.array([(u, v) for u in range(5) for v in range(5, 10)])
     cfg = TrainConfig(
         batch_size=16, pretrain_iters=400, train_iters=100,
         eta_d=0.5, eta_g=1e-3, gamma=1.0 / 16, lam=0.1, seed=0,
     )
     disc, gen, trace = train_graph(cfg, g, intra, dim=8, gen_hidden=(8,))
-    assert pair_logits(disc, np.asarray(intra)).mean() > pair_logits(disc, np.asarray(inter)).mean()
+    assert pair_logits(disc, intra).mean() > pair_logits(disc, inter).mean()
     report = link_predict_eval(disc, intra, inter)
     assert report.accuracy > 0.9
     assert report.macro_f1 > 0.9
@@ -665,10 +681,11 @@ def test_train_graph_zero_iters_is_init():
 
 def test_link_predict_eval_empty_sets():
     disc = GraphDiscriminator(np.zeros((3, 2)), 0.0)
+    none, one = np.empty((0, 2), dtype=np.int64), np.array([[0, 1]])
     with pytest.raises(DataError, match="empty"):
-        link_predict_eval(disc, [], [(0, 1)])
+        link_predict_eval(disc, none, one)
     with pytest.raises(DataError, match="empty"):
-        link_predict_eval(disc, [(0, 1)], [])
+        link_predict_eval(disc, one, none)
 
 
 # --- SBM generator ---
@@ -684,7 +701,7 @@ def test_sbm_graph_extremes():
 def test_sbm_graph_deterministic_and_plausible():
     g1 = sbm_graph([30, 30], 0.3, 0.02, seed=42)
     g2 = sbm_graph([30, 30], 0.3, 0.02, seed=42)
-    assert g1.pairs() == g2.pairs()
+    assert_same_pairs(g1.pairs(), g2.pairs())
     within = sum(1 for u, v in g1.pairs() if (u < 30) == (v < 30))
     cross = g1.n_edges - within
     # expectations: 0.3 * 2 * C(30,2) = 261 within, 0.02 * 900 = 18 cross
@@ -710,11 +727,11 @@ def test_node_classification_perfect_embeddings():
     The pool is big enough that every class keeps hidden positives in every
     shuffle; a class with none would score macro-F1 0 by convention.
     """
-    labels = [{i % 3} for i in range(30)]
+    y = np.eye(3)[np.arange(30) % 3]
     emb = np.zeros((30, 3))
     for i in range(30):
         emb[i, i % 3] = 1.0
-    out = node_classification_eval(emb, NodeLabels(labels, 3), train_frac=0.7, n_shuffles=4, seed=0)
+    out = node_classification_eval(emb, y, train_frac=0.7, n_shuffles=4, seed=0)
     assert out["micro_f1_mean"] == pytest.approx(1.0)
     assert out["macro_f1_mean"] == pytest.approx(1.0)
     assert out["n_shuffles"] == 4
@@ -722,9 +739,9 @@ def test_node_classification_perfect_embeddings():
 
 def test_node_classification_handles_class_with_no_visible_positives():
     # class 1 has a single positive node; some shuffles hide it entirely
-    labels = [{0}] * 9 + [{1}]
+    y = np.eye(2)[[0] * 9 + [1]]
     emb = np.eye(10)
-    out = node_classification_eval(emb, NodeLabels(labels, 2), train_frac=0.5, n_shuffles=6, seed=0)
+    out = node_classification_eval(emb, y, train_frac=0.5, n_shuffles=6, seed=0)
     assert 0.0 <= out["macro_f1_mean"] <= 1.0
     assert out["micro_f1_std"] >= 0.0
 
@@ -732,17 +749,17 @@ def test_node_classification_handles_class_with_no_visible_positives():
 def test_node_classification_validation():
     emb = np.zeros((4, 2))
     with pytest.raises(ConfigError, match="two classes"):
-        node_classification_eval(emb, NodeLabels([{0}] * 4, 1), 0.9, 10, 0)
+        node_classification_eval(emb, np.ones((4, 1)), 0.9, 10, 0)
     with pytest.raises(ConfigError, match="label rows"):
-        node_classification_eval(emb, NodeLabels([{0}] * 3, 2), 0.9, 10, 0)
+        node_classification_eval(emb, np.eye(2)[[0, 0, 0]], 0.9, 10, 0)
     with pytest.raises(ConfigError, match="train_frac"):
-        node_classification_eval(emb, NodeLabels([{0}, {1}, {0}, {1}], 2), 1.0, 10, 0)
+        node_classification_eval(emb, np.eye(2)[[0, 1, 0, 1]], 1.0, 10, 0)
 
 
 def test_node_classification_deterministic():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal((20, 4))
-    labels = NodeLabels([{int(i >= 10)} for i in range(20)], 2)
+    labels = np.eye(2)[(np.arange(20) >= 10).astype(int)]
     a = node_classification_eval(emb, labels, train_frac=0.9, n_shuffles=3, seed=5)
     b = node_classification_eval(emb, labels, train_frac=0.9, n_shuffles=3, seed=5)
     assert a == b
