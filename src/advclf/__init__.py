@@ -12,7 +12,6 @@ from .adversarial import (
     TrainTrace,
     predict,
     train,
-    train_pretrain_only,
 )
 from .data import (
     LabeledDataset,
@@ -53,5 +52,4 @@ __all__ = [
     "standardize",
     "synth_gaussian_imbalanced",
     "train",
-    "train_pretrain_only",
 ]

@@ -29,7 +29,7 @@ non-finite loss or gradient it raises TrainingError before changing anything.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,11 +125,15 @@ def _normalized_weights(t):
 
 
 def generator_batch_weights(gen, negatives):
-    """Per-sample weights normalized to sum to 1 over the batch."""
+    """Per-sample weights normalized to sum to 1 over the batch, and the generator's activations.
+
+    generator_step takes the activations, so one forward serves an iteration.
+    """
     negatives = np.asarray(negatives, dtype=np.float64)
     if negatives.ndim != 2 or negatives.shape[0] == 0:
         raise ConfigError("negatives must be a nonempty 2-d batch")
-    return _normalized_weights(forward(gen, negatives)[-1][:, 0])[0]
+    acts = forward(gen, negatives)
+    return _normalized_weights(acts[-1][:, 0])[0], acts
 
 
 def batch_weight_entropy(weights):
@@ -194,11 +198,13 @@ def discriminator_step(config, disc, pos_batch, neg_batch, weights):
     return _disc_update(disc, pos_batch, neg_batch, coeff, config.eta_d)
 
 
-def generator_step(config, disc, gen, neg_batch):
-    """One descent step of _gen_terms: sum(w * log(1 - D)) + lam * sum(w * log w)."""
-    neg_batch = np.asarray(neg_batch, dtype=np.float64)
-    log_one_minus_d = stable_log_one_minus_sigmoid(discriminator_logits(disc, neg_batch))
-    acts = forward(gen, neg_batch)
+def generator_step(config, disc, gen, acts):
+    """One descent step of _gen_terms: sum(w * log(1 - D)) + lam * sum(w * log w).
+
+    acts is gen's forward on the negatives, as generator_batch_weights
+    returns it; the negatives are acts[0].
+    """
+    log_one_minus_d = stable_log_one_minus_sigmoid(discriminator_logits(disc, acts[0]))
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
     grads, _ = backward(gen, acts, out_grad[:, None])
     return sgd_step(gen, grads, -config.eta_g), loss
@@ -250,9 +256,9 @@ def train(config, data, gen_spec, checkpoint=None):
         pos = x_pos[rng_batches.integers(0, len(x_pos), size=m)]
         neg = x_neg[rng_batches.integers(0, len(x_neg), size=m)]
         try:
-            w = generator_batch_weights(gen, neg)
+            w, gen_acts = generator_batch_weights(gen, neg)
             disc, d_loss = discriminator_step(config, disc, pos, neg, w)
-            gen, g_loss = generator_step(config, disc, gen, neg)
+            gen, g_loss = generator_step(config, disc, gen, gen_acts)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
         trace.record(d_loss, g_loss, w)
@@ -260,17 +266,3 @@ def train(config, data, gen_spec, checkpoint=None):
             trace.checkpoints.append(checkpoint_fn(i + 1, disc))
     return disc, gen, trace
 
-
-def train_pretrain_only(config, data):
-    """Baseline: the warm-up loop extended for pretrain_iters + train_iters steps.
-
-    Seeded identically to train() (same spawned init and batch streams), so a
-    run with train_iters = 0 matches train() parameter for parameter and the
-    per-iteration batches of a longer run pair up with the adversarial run's.
-    """
-    seeds = np.random.SeedSequence(config.seed).spawn(3)
-    rng_init_d = np.random.default_rng(seeds[0])
-    rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, rng_init_d)
-    extended = replace(config, pretrain_iters=config.pretrain_iters + config.train_iters)
-    return pretrain_discriminator(extended, data, disc, rng_batches)

@@ -13,13 +13,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adversarial import TrainConfig, predict, train, train_pretrain_only
+from .adversarial import TrainConfig, predict, train
 from .data import (
     SplitSpec,
     SynthSpec,
@@ -280,9 +280,11 @@ def cmd_train(args):
             train_set, np.random.default_rng(resample_seeds[1])
         ),
     }
+    # a baseline is the warm-up alone, run for the adversarial run's total step count
+    warmup_only = replace(config, pretrain_iters=config.pretrain_iters + config.train_iters, train_iters=0)
     models = {"adversarial": adv_disc}
     for name, fit_set in baselines.items():
-        models[name], _ = train_pretrain_only(config, fit_set)
+        models[name], _, _ = train(warmup_only, fit_set, opts["gen_arch"])
     evaluations = {}
     for name, disc in models.items():
         evaluations[name] = {

@@ -48,9 +48,12 @@ class LabeledDataset:
 def load_csv(path, label_column, positive_label):
     """Parse a headered comma-separated file into a LabeledDataset.
 
-    Every non-label cell must be a finite number; parse errors name the file
-    line and the offending column. A single-class file loads with a warning
-    since it is usable for evaluation only.
+    Every non-label cell must be a finite number as Python's float() reads
+    it; parse errors name the file line and the offending column. numpy's C
+    reader parses the data lines; where it or a check rejects them, the
+    per-cell parse runs instead, so every file loads or fails as that parse
+    alone would have it. A single-class file loads with a warning since it is
+    usable for evaluation only.
     """
     path = Path(path)
     if not path.exists():
@@ -66,9 +69,50 @@ def load_csv(path, label_column, positive_label):
     if label_column not in header:
         raise DataError(f"{path}: no column named {label_column!r} in header {header}")
     label_idx = header.index(label_column)
+    if len(rows) == 1:
+        raise DataError(f"{path}: no data rows")
+    parsed = _csv_cells([line for _, line in rows[1:]], len(header), label_idx, positive_label)
+    if parsed is None:
+        parsed = _csv_cells_exact(path, header, label_idx, positive_label, rows[1:])
+    features, labels = parsed
+    if labels.min() == labels.max():
+        warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
+    return LabeledDataset(features, labels)
+
+
+def _csv_cells(lines, n_cells, label_idx, positive_label):
+    """(features, labels) of the data lines through numpy's C reader, or None if a line is rejected.
+
+    The reader takes float()'s grammar less underscores and non-ASCII
+    digits. A line it cannot parse, with a cell count other than n_cells or
+    with a non-finite value is left to _csv_cells_exact, which names it.
+    """
+    if {line.count(",") for line in lines} != {n_cells - 1}:
+        return None
+    try:
+        features = np.loadtxt(
+            lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+            usecols=[j for j in range(n_cells) if j != label_idx],
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(features).all():
+        return None
+    # n_cells - 1 commas on each line: the label is the last of a line's first label_idx + 1 cells
+    tail = n_cells - 1 - label_idx
+    labels = [line.rsplit(",", tail)[0].rpartition(",")[2].strip() == positive_label for line in lines]
+    return features, np.asarray(labels, dtype=np.int64)
+
+
+def _csv_cells_exact(path, header, label_idx, positive_label, rows):
+    """(features, labels) of the (lineno, line) data rows, cell by cell with float().
+
+    Raises DataError at the first line with a wrong cell count or a cell that
+    is not a finite number.
+    """
     feats = []
     labels = []
-    for lineno, line in rows[1:]:
+    for lineno, line in rows:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise DataError(f"{path} line {lineno}: expected {len(header)} cells, got {len(cells)}")
@@ -87,12 +131,7 @@ def load_csv(path, label_column, positive_label):
             row.append(value)
         feats.append(row)
         labels.append(1 if cells[label_idx] == positive_label else 0)
-    if not feats:
-        raise DataError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if len(set(labels)) == 1:
-        warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
-    return LabeledDataset(np.asarray(feats, dtype=np.float64), labels_arr)
+    return np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
 def save_csv(path, data):

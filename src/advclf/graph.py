@@ -15,6 +15,7 @@ steps' temporaries would otherwise go back to the OS after every step and
 be faulted in again on the next.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,13 +36,17 @@ from .nn import (
 )
 
 
+# A pair key lo * n_nodes + hi reaches n_nodes**2 - 1, which int64 holds up to this many nodes.
+MAX_NODES = math.isqrt(2**63)
+
+
 @dataclass
 class Graph:
-    """Undirected simple graph on nodes 0..n_nodes-1.
+    """Undirected simple graph on nodes 0..n_nodes-1, n_nodes at most MAX_NODES.
 
     `edges` is a sorted, unique int64 array holding one key lo * n_nodes + hi
-    per edge, lo < hi. The constructor builds it from any iterable of (u, v)
-    pairs; only has_edge and pairs read the key layout.
+    per edge, lo < hi. The constructor builds it from a (k, 2) array or any
+    iterable of (u, v) pairs; only has_edge and pairs read the key layout.
     """
 
     n_nodes: int
@@ -49,7 +54,12 @@ class Graph:
 
     def __post_init__(self):
         self.n_nodes = int(self.n_nodes)
-        pairs = np.asarray(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        if self.n_nodes > MAX_NODES:
+            raise DataError(
+                f"node id {self.n_nodes - 1} is too large: pair keys hold node ids up to {MAX_NODES - 1}"
+            )
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         if np.any(lo == hi) or np.any(lo < 0) or np.any(hi >= self.n_nodes):
             raise DataError(f"edges must join two distinct nodes in 0..{self.n_nodes - 1}")
@@ -83,25 +93,62 @@ class Graph:
 
 
 def _data_lines(path):
-    """(lineno, tokens) for each line of path that is not blank and does not start with '#'."""
+    """(lineno, line) for each line of path that is not blank and does not start with '#'."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            yield lineno, tokens
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
+            yield lineno, line
 
 
 def load_edge_list(path):
     """Whitespace-separated integer pairs, one per line; '#' starts a comment line.
 
-    Duplicate edges in either order collapse; self-loops, negative ids and
-    non-integer tokens are errors naming the line.
+    A node id is what Python's int() reads. Duplicate edges in either order
+    collapse; self-loops, negative ids and non-integer tokens are errors
+    naming the line. numpy's C reader parses the lines; where it or a check
+    rejects them, the per-token parse runs instead, so every file loads or
+    fails as that parse alone would have it.
     """
     path = Path(path)
+    numbered = list(_data_lines(path))
+    if not numbered:
+        raise DataError(f"{path}: no edges")
+    pairs = _edge_pairs([line for _, line in numbered])
+    if pairs is None:
+        pairs = _edge_pairs_exact(path, numbered)
+    # int() first: an id at the int64 limit must not wrap when one is added
+    return Graph(n_nodes=int(pairs.max()) + 1, edges=pairs)
+
+
+def _edge_pairs(lines):
+    """The (k, 2) int64 ids of the data lines through numpy's C reader, or None if a line is rejected.
+
+    The reader takes int()'s grammar less underscores and non-ASCII digits,
+    and no id beyond int64. A line it cannot parse, without exactly two ids,
+    with a negative id or with a self-loop is left to _edge_pairs_exact,
+    which names it.
+    """
+    try:
+        pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if pairs.shape[1] != 2 or (pairs < 0).any() or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs
+
+
+def _edge_pairs_exact(path, numbered):
+    """The ids of the (lineno, line) data lines, token by token with int(), as a (k, 2) object array.
+
+    The array holds Python ints, so an id beyond int64 reaches Graph, which
+    names it. Raises DataError at the first line that is not two distinct
+    nonnegative ids.
+    """
     edges = []
-    max_id = -1
-    for lineno, tokens in _data_lines(path):
+    for lineno, line in numbered:
+        tokens = line.split()
         if len(tokens) != 2:
             raise DataError(f"{path} line {lineno}: expected two node ids, got {len(tokens)} tokens")
         try:
@@ -113,10 +160,7 @@ def load_edge_list(path):
         if u == v:
             raise DataError(f"{path} line {lineno}: self-loop at node {u}")
         edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if not edges:
-        raise DataError(f"{path}: no edges")
-    return Graph(n_nodes=max_id + 1, edges=edges)
+    return np.array(edges, dtype=object)
 
 
 def load_node_labels(path, n_nodes):
@@ -127,7 +171,8 @@ def load_node_labels(path, n_nodes):
     """
     path = Path(path)
     nodes, labels = [], []
-    for lineno, tokens in _data_lines(path):
+    for lineno, line in _data_lines(path):
+        tokens = line.split()
         if len(tokens) < 2:
             raise DataError(f"{path} line {lineno}: expected node_id plus at least one label id")
         try:
@@ -278,16 +323,18 @@ def predict_pairs(disc, pairs):
     return sigmoid(pair_logits(disc, pairs))
 
 
-def _pair_features(gen, pairs):
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return np.hstack([gen.embeddings[lo], gen.embeddings[hi]]), lo, hi
+def _canonical(pairs):
+    return np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
 
 
 def generator_pair_weights(gen, pairs):
-    """Batch-normalized pair weights; order-invariant via canonical pair order."""
-    feats, _, _ = _pair_features(gen, pairs)
-    return _normalized_weights(forward(gen.mlp, feats)[-1][:, 0])[0]
+    """Batch-normalized pair weights, order-invariant via canonical pair order, and the MLP activations.
+
+    graph_generator_step takes the activations, so one forward serves an iteration.
+    """
+    lo, hi = _canonical(pairs)
+    acts = forward(gen.mlp, np.hstack([gen.embeddings[lo], gen.embeddings[hi]]))
+    return _normalized_weights(acts[-1][:, 0])[0], acts
 
 
 def _scatter_rows(idx, contrib):
@@ -336,7 +383,9 @@ def _graph_disc_update(disc, batch, neg_coeff, eta_d):
     grad_bias = float(c_pos.sum() + c_neg.sum())
     if not (np.all(np.isfinite(block)) and np.isfinite(grad_bias)):
         raise TrainingError("non-finite gradient")
-    disc.embeddings[rows] += eta_d * block
+    # scaled in place: the adversarial loop holds the generator's activations through this step
+    block *= eta_d
+    disc.embeddings[rows] += block
     disc.bias += eta_d * grad_bias
     return disc, loss
 
@@ -356,15 +405,15 @@ def graph_discriminator_step(config, disc, batch, weights):
     return _graph_disc_update(disc, batch, coeff, config.eta_d)
 
 
-def graph_generator_step(config, disc, gen, neg_pairs):
+def graph_generator_step(config, disc, gen, neg_pairs, acts):
     """Descent on the weighted term plus entropy; updates gen's MLP and touched rows in place.
 
+    acts is gen's forward on neg_pairs, as generator_pair_weights returns it.
     Returns gen with the loss. On a non-finite gradient it raises before
     changing anything.
     """
     log_one_minus_d = stable_log_one_minus_sigmoid(pair_logits(disc, neg_pairs))
-    feats, lo, hi = _pair_features(gen, neg_pairs)
-    acts = forward(gen.mlp, feats)
+    lo, hi = _canonical(neg_pairs)
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
     grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
     dim = gen.embeddings.shape[1]
@@ -374,7 +423,8 @@ def graph_generator_step(config, disc, gen, neg_pairs):
     if not np.all(np.isfinite(block)):
         raise TrainingError("non-finite gradient")
     sgd_step(gen.mlp, grads, -config.eta_g)
-    gen.embeddings[rows] -= config.eta_g * block
+    block *= config.eta_g
+    gen.embeddings[rows] -= block
     return gen, loss
 
 
@@ -400,11 +450,12 @@ def train_graph(config, graph, train_edges, dim, gen_hidden):
     for i in range(config.train_iters):
         batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
         try:
-            w = generator_pair_weights(gen, batch.neg)
+            w, gen_acts = generator_pair_weights(gen, batch.neg)
             disc, d_loss = graph_discriminator_step(config, disc, batch, w)
-            gen, g_loss = graph_generator_step(config, disc, gen, batch.neg)
+            gen, g_loss = graph_generator_step(config, disc, gen, batch.neg, gen_acts)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
+        del gen_acts  # freed before the next batch's are computed, which keeps peak memory down
         trace.record(d_loss, g_loss, w)
     return disc, gen, trace
 

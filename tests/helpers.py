@@ -1,7 +1,14 @@
 """Shared oracles and utilities for the test suite."""
 
+import contextlib
+import warnings
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 
+import advclf.data
+import advclf.graph
 from advclf.adversarial import TrainTrace, _disc_terms, _gen_terms
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
@@ -9,7 +16,6 @@ from advclf.graph import (
     GraphDiscriminator,
     GraphGenerator,
     PairBatch,
-    _pair_features,
     generator_pair_weights,
     init_graph_models,
     pair_logits,
@@ -24,6 +30,47 @@ from advclf.nn import (
     forward,
     stable_log_one_minus_sigmoid,
 )
+
+
+@contextlib.contextmanager
+def exact_parse_only():
+    """Within the block, load_csv and load_edge_list skip numpy's C reader and parse cell by cell."""
+    with mock.patch.object(advclf.data, "_csv_cells", lambda *args: None), \
+            mock.patch.object(advclf.graph, "_edge_pairs", lambda lines: None):
+        yield
+
+
+@contextlib.contextmanager
+def c_reader_only():
+    """Within the block, a load_csv or load_edge_list that falls back to the per-cell parse fails."""
+
+    def fallback(*args):
+        raise AssertionError("numpy's reader rejected the file")
+
+    with mock.patch.object(advclf.data, "_csv_cells_exact", fallback), \
+            mock.patch.object(advclf.graph, "_edge_pairs_exact", fallback):
+        yield
+
+
+def load_outcome(load, summarize):
+    """What a loader call leaves: summarize(result) or its DataError text, then its warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("loaded", summarize(load()))
+        except DataError as exc:
+            result = ("error", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def array_bits(*arrays):
+    """Dtype, shape and bytes of each array: equal exactly when the arrays are identical bit for bit."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def warmup_only(config):
+    """The pretraining-only baseline as advclf train runs it: the warm-up for every step of config."""
+    return replace(config, pretrain_iters=config.pretrain_iters + config.train_iters, train_iters=0)
 
 
 def grad_rel_error(analytic, numeric):
@@ -244,8 +291,8 @@ def graph_disc_update_add_at(disc, batch, neg_coeff, eta_d):
 def graph_generator_step_add_at(config, disc, gen, neg_pairs):
     """One generator descent step; returns a new GraphGenerator and the loss."""
     log_one_minus_d = stable_log_one_minus_sigmoid(pair_logits(disc, neg_pairs))
-    feats, lo, hi = _pair_features(gen, neg_pairs)
-    acts = forward(gen.mlp, feats)
+    lo, hi = neg_pairs.min(axis=1), neg_pairs.max(axis=1)
+    acts = forward(gen.mlp, np.hstack([gen.embeddings[lo], gen.embeddings[hi]]))
     loss, out_grad = _gen_terms(acts[-1][:, 0], log_one_minus_d, config.lam)
     grads, input_grad = backward(gen.mlp, acts, out_grad[:, None])
     dim = gen.embeddings.shape[1]
@@ -278,7 +325,7 @@ def train_graph_add_at(config, graph, train_edges, dim, gen_hidden):
         trace.pretrain_d_loss.append(loss)
     for _ in range(config.train_iters):
         batch = sample_pair_batch(train_edges, graph, config.batch_size, rng_batches)
-        w = generator_pair_weights(gen, batch.neg)
+        w, _ = generator_pair_weights(gen, batch.neg)
         coeff = config.gamma * len(batch.neg) * w
         disc, d_loss = graph_disc_update_add_at(disc, batch, coeff, config.eta_d)
         gen, g_loss = graph_generator_step_add_at(config, disc, gen, batch.neg)

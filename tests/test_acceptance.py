@@ -33,7 +33,6 @@ from advclf.adversarial import (
     predict,
     pretrain_step,
     train,
-    train_pretrain_only,
 )
 from advclf.cli import ARCH_PRESETS
 from advclf.cli import main as cli_main
@@ -65,7 +64,14 @@ from advclf.theory import (
     optimal_discriminator,
     value_v,
 )
-from helpers import auc_pair_count, block_oracle_eval, flatten_param_grads, grad_rel_error, sbm_graph
+from helpers import (
+    auc_pair_count,
+    block_oracle_eval,
+    flatten_param_grads,
+    grad_rel_error,
+    sbm_graph,
+    warmup_only,
+)
 
 LOG4 = math.log(4.0)
 
@@ -276,7 +282,7 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     # each step updates its own copy of disc in place
     plain, _ = pretrain_step(clone_params(disc), pos, neg, config.eta_d)
     adversarial, _ = discriminator_step(
-        config, clone_params(disc), pos, neg, generator_batch_weights(flat_gen, neg)
+        config, clone_params(disc), pos, neg, generator_batch_weights(flat_gen, neg)[0]
     )
 
     def distance(x, y):
@@ -354,7 +360,7 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
         config = TrainConfig(seed=seed)
         adv, _, _ = train(config, train_set, ARCH_PRESETS["shallow"])
-        base, _ = train_pretrain_only(config, train_set)
+        base, _, _ = train(warmup_only(config), train_set, ARCH_PRESETS["shallow"])
         auc_adv = evaluate_binary(predict(adv, test_set.features), test_set.labels).auc
         auc_base = evaluate_binary(predict(base, test_set.features), test_set.labels).auc
         wins += auc_adv >= auc_base

@@ -19,7 +19,6 @@ from advclf.adversarial import (
     pretrain_discriminator,
     pretrain_step,
     train,
-    train_pretrain_only,
 )
 from advclf.data import LabeledDataset, SynthSpec, synth_gaussian_imbalanced
 from advclf.errors import ConfigError, DataError, TrainingError
@@ -35,7 +34,7 @@ from advclf.nn import (
 )
 from advclf.theory import TheoryConfig
 
-from helpers import flatten_param_grads, grad_rel_error
+from helpers import flatten_param_grads, grad_rel_error, warmup_only
 
 
 def linear_params(w, b):
@@ -120,7 +119,7 @@ def test_float_settings_reject_nan_and_inf(make):
 def test_zero_generator_gives_uniform_weights():
     gen = linear_params(np.zeros((3, 1)), np.zeros(1))
     batch = np.arange(12.0).reshape(4, 3)
-    w = generator_batch_weights(gen, batch)
+    w, _ = generator_batch_weights(gen, batch)
     np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-15)
 
 
@@ -128,13 +127,13 @@ def test_known_raw_weights_normalize():
     # identity 1x1 net, inputs chosen so softplus gives raw weights 1 and 3
     gen = linear_params([[1.0]], [0.0])
     batch = np.array([[np.log(np.e - 1.0)], [np.log(np.exp(3.0) - 1.0)]])
-    w = generator_batch_weights(gen, batch)
+    w, _ = generator_batch_weights(gen, batch)
     np.testing.assert_allclose(w, [0.25, 0.75], atol=1e-12)
 
 
 def test_single_sample_weight_is_one():
     gen = linear_params([[2.0]], [-1.0])
-    w = generator_batch_weights(gen, np.array([[0.3]]))
+    w, _ = generator_batch_weights(gen, np.array([[0.3]]))
     assert w.shape == (1,)
     assert w[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -146,7 +145,7 @@ def test_degenerate_generator_raises():
         generator_batch_weights(gen, np.array([[1.0], [2.0]]))
     disc = linear_params([[1.0]], [0.0])
     with pytest.raises(TrainingError, match="degenerate generator"):
-        generator_step(TrainConfig(batch_size=2), disc, gen, np.array([[1.0], [2.0]]))
+        generator_step(TrainConfig(batch_size=2), disc, gen, forward(gen, np.array([[1.0], [2.0]])))
 
 
 def test_generator_batch_weights_validates_shape():
@@ -172,7 +171,7 @@ def test_weights_are_a_distribution(seed, n_features, m):
     rng = np.random.default_rng(seed)
     gen = init_generator(n_features, hidden=(3,), rng=rng)
     batch = rng.standard_normal((m, n_features))
-    w = generator_batch_weights(gen, batch)
+    w, _ = generator_batch_weights(gen, batch)
     assert w.shape == (m,)
     assert np.all(w > 0)
     assert float(w.sum()) == pytest.approx(1.0, abs=1e-9)
@@ -191,8 +190,8 @@ def test_gamma_zero_ignores_negatives():
     neg1 = rng.standard_normal((3, 2))
     neg2 = rng.standard_normal((3, 2)) + 7.0
     # the step updates its model in place, so each starts from its own copy
-    d1, _ = discriminator_step(cfg, clone_params(disc), pos, neg1, generator_batch_weights(gen, neg1))
-    d2, _ = discriminator_step(cfg, clone_params(disc), pos, neg2, generator_batch_weights(gen, neg2))
+    d1, _ = discriminator_step(cfg, clone_params(disc), pos, neg1, generator_batch_weights(gen, neg1)[0])
+    d2, _ = discriminator_step(cfg, clone_params(disc), pos, neg2, generator_batch_weights(gen, neg2)[0])
     assert max_param_diff(d1, disc) > 0.0
     assert_params_equal(d1, d2)
 
@@ -206,7 +205,7 @@ def test_reduction_identity_matches_pretrain():
     pos = rng.standard_normal((m, 3))
     neg = rng.standard_normal((m, 3))
     cfg = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.2)
-    w = generator_batch_weights(gen, neg)
+    w, _ = generator_batch_weights(gen, neg)
     d_adv, loss_adv = discriminator_step(cfg, clone_params(disc), pos, neg, w)
     d_pre, loss_pre = pretrain_step(clone_params(disc), pos, neg, cfg.eta_d)
     assert max_param_diff(d_pre, disc) > 0.0
@@ -223,7 +222,7 @@ def test_disc_step_recovers_gradient():
     pos = rng.standard_normal((m, 3))
     neg = rng.standard_normal((m, 3))
     cfg = TrainConfig(batch_size=m, gamma=0.07, eta_d=0.7)
-    w = generator_batch_weights(gen, neg)
+    w, _ = generator_batch_weights(gen, neg)
     coeff = cfg.gamma * m * w
 
     def objective(params):
@@ -258,7 +257,7 @@ def test_gen_step_recovers_gradient():
         w = raw / raw.sum()
         return float(np.sum(w * log_one_minus_d) + cfg.lam * np.sum(w * np.log(w)))
 
-    new_gen, _ = generator_step(cfg, disc, clone_params(gen), neg)
+    new_gen, _ = generator_step(cfg, disc, clone_params(gen), forward(gen, neg))
     assert max_param_diff(new_gen, gen) > 0.0
     analytic = [
         ((lo.weight - ln.weight) / cfg.eta_g, (lo.bias - ln.bias) / cfg.eta_g)
@@ -301,9 +300,9 @@ def test_step_that_raises_leaves_its_model_unchanged(step, cause, monkeypatch):
         if step == "pretrain":
             pretrain_step(disc, pos, neg, cfg.eta_d)
         elif step == "discriminator":
-            discriminator_step(cfg, disc, pos, neg, generator_batch_weights(gen, neg))
+            discriminator_step(cfg, disc, pos, neg, generator_batch_weights(gen, neg)[0])
         else:
-            generator_step(cfg, disc, gen, neg)
+            generator_step(cfg, disc, gen, forward(gen, neg))
     for got, old in zip(bits(model), before, strict=True):
         np.testing.assert_array_equal(got, old)
 
@@ -317,11 +316,11 @@ def test_generator_upweights_confident_false_positives():
     disc = linear_params([[2.197224577]], [0.0])
     gen = linear_params([[0.0]], [0.0])
     neg = np.array([[1.0], [-1.0]])
-    before = generator_batch_weights(gen, neg)
+    before, acts = generator_batch_weights(gen, neg)
     np.testing.assert_allclose(before, [0.5, 0.5])
     cfg = TrainConfig(batch_size=2, lam=0.0, eta_g=0.5)
-    gen2, _ = generator_step(cfg, disc, gen, neg)
-    after = generator_batch_weights(gen2, neg)
+    gen2, _ = generator_step(cfg, disc, gen, acts)
+    after, _ = generator_batch_weights(gen2, neg)
     assert after[0] > 0.5 + 1e-6
     assert after[1] < 0.5 - 1e-6
 
@@ -331,12 +330,12 @@ def test_large_lambda_pushes_weights_toward_uniform():
     disc = linear_params([[0.0]], [0.0])
     gen = linear_params([[1.0]], [0.0])
     neg = np.array([[np.log(np.e - 1.0)], [np.log(np.exp(3.0) - 1.0)]])
-    w0 = generator_batch_weights(gen, neg)
+    w0, _ = generator_batch_weights(gen, neg)
     np.testing.assert_allclose(w0, [0.25, 0.75], atol=1e-12)
     cfg = TrainConfig(batch_size=2, lam=5.0, eta_g=0.01)
     for _ in range(500):
-        gen, _ = generator_step(cfg, disc, gen, neg)
-    w = generator_batch_weights(gen, neg)
+        gen, _ = generator_step(cfg, disc, gen, forward(gen, neg))
+    w, _ = generator_batch_weights(gen, neg)
     assert batch_weight_entropy(w) > batch_weight_entropy(w0)
     assert abs(w[0] - 0.5) < 0.05
 
@@ -373,7 +372,8 @@ def test_train_zero_iters_matches_pretrain_only_baseline():
     data = small_data(seed=2)
     cfg = TrainConfig(batch_size=16, pretrain_iters=30, train_iters=0, seed=4)
     disc_adv, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
-    disc_base, trace_base = train_pretrain_only(cfg, data)
+    # the generator draws its init from its own stream, so its widths cannot move the discriminator
+    disc_base, _, trace_base = train(warmup_only(cfg), data, gen_spec=(3,))
     assert_params_equal(disc_adv, disc_base)
     assert trace_adv.pretrain_d_loss == trace_base.pretrain_d_loss
 
@@ -392,7 +392,7 @@ def test_baseline_pairs_with_adversarial_warmup():
     data = small_data(seed=6)
     cfg = TrainConfig(batch_size=16, pretrain_iters=25, train_iters=10, seed=13)
     _, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
-    _, trace_base = train_pretrain_only(cfg, data)
+    _, _, trace_base = train(warmup_only(cfg), data, gen_spec=(64, 32, 32))
     assert len(trace_base.pretrain_d_loss) == cfg.pretrain_iters + cfg.train_iters
     assert trace_base.pretrain_d_loss[: cfg.pretrain_iters] == trace_adv.pretrain_d_loss
 

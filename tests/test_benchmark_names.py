@@ -11,6 +11,10 @@ import inspect
 import json
 from pathlib import Path
 
+from advclf.data import load_csv
+from advclf.graph import load_edge_list
+from helpers import array_bits, c_reader_only, exact_parse_only
+
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 PERFBENCH = BENCHMARK.parent / "perfbench"
 
@@ -53,11 +57,26 @@ def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
     """The benchmark's setup_s path calls advclf's loaders and splitters on each workload's input.
 
     perfbench only times these calls, so a changed signature or return value
-    would break the benchmark without failing any other test.
+    would break the benchmark without failing any other test. Each input
+    must also load through numpy's reader, without falling back, bit for bit
+    as the per-cell parse loads it.
     """
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     assert workloads.WORKLOADS
     for workload in workloads.WORKLOADS.values():
-        workloads.load_and_split(workload.make_input(0, tmp_path))
+        inp = workload.make_input(0, tmp_path)
+        workloads.load_and_split(inp)
+        if "csv" in inp.setup_paths:
+            def load():
+                data = load_csv(inp.setup_paths["csv"], "label", "1")
+                return array_bits(data.features, data.labels)
+        else:
+            def load():
+                graph = load_edge_list(inp.setup_paths["edges"])
+                return graph.n_nodes, array_bits(graph.edges)
+        with c_reader_only():
+            fast = load()
+        with exact_parse_only():
+            assert load() == fast, f"{workload.name}: the two parses disagree"

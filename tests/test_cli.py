@@ -595,6 +595,20 @@ def test_graph_missing_edges_file_exits_1(capsys, tmp_path):
     assert "no such file" in err
 
 
+@pytest.mark.parametrize("line,node_id", [
+    ("0 9223372036854775808", 9223372036854775808),  # beyond int64: the per-token parse reads it
+    ("3000000000 4000000000", 4000000000),  # in int64, but its pair keys would wrap
+])
+def test_graph_node_id_beyond_pair_key_range_exits_1(capsys, tmp_path, line, node_id):
+    """An id whose pair keys int64 cannot hold is a data error naming it, not a traceback."""
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"0 1\n{line}\n")
+    code, out, err = run_cli(capsys, ["graph", "--edges", str(edges)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: node id {node_id} is too large: pair keys hold node ids up to 3037000498\n"
+
+
 @pytest.mark.parametrize("test_frac,held_out", [("0.01", 0), ("0.99", 30)])
 def test_graph_test_frac_without_test_or_training_edges_exits_1(capsys, tmp_path, test_frac,
                                                                held_out):

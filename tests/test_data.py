@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from advclf.data import (
 )
 from advclf.errors import ConfigError, DataError
 from advclf.metrics import evaluate_binary
+from helpers import array_bits, exact_parse_only, load_outcome
 
 
 def small_dataset(n=10, seed=0, pos_frac=0.5):
@@ -73,6 +77,68 @@ class TestLoadCsv:
         back = load_csv(f, "label", "1")
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
+
+
+NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+4", " 5.5\t", ".5", "5.", "-0", "1E3", "\u30001\u3000"]),
+)
+# what float() and numpy's reader each accept or refuse: non-finite, beyond float64, underscores,
+# non-ASCII digits, hex, empty, whitespace-only, comment-like, two numbers, a BOM, half an exponent
+ODD_CELLS = ["nan", "inf", "-Infinity", "1e400", "1_000", "\u0661\u0662", "0x1", "", "  ", "#3", "1 2",
+             "\ufeff1", "1e", "-", "abc"]
+LABELS = ["0", "1", " 1 ", "yes"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A headered CSV with a label column and a few of the anomalies load_csv must name or accept."""
+    n_features = draw(st.integers(0, 3))
+    label_idx = draw(st.integers(0, n_features))
+    header = [f"f{j}" for j in range(n_features)]
+    header.insert(label_idx, "label")
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells = draw(st.lists(NUMBERS, min_size=n_features, max_size=n_features))
+        cells.insert(label_idx, draw(st.sampled_from(LABELS)))
+        rows.append(cells)
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["odd cell", "extra cell", "missing cell", "hash"]))
+        features = [j for j in range(len(row)) if j != label_idx]
+        if kind == "odd cell" and features:
+            row[draw(st.sampled_from(features))] = draw(st.sampled_from(ODD_CELLS))
+        elif kind == "extra cell":
+            row.insert(draw(st.integers(0, len(row))), draw(NUMBERS))
+        elif kind == "missing cell" and row:
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        elif kind == "hash" and row:
+            row[0] = "#" + row[0]
+    lines = [",".join(header), *(",".join(row) for row in rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t ", "\u3000"])))
+    if draw(st.booleans()):
+        lines[0] = "\ufeff" + lines[0]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def csv_outcome(path):
+    return load_outcome(lambda: load_csv(path, "label", "1"), lambda d: array_bits(d.features, d.labels))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts())
+def test_load_csv_matches_its_cell_by_cell_parse(text):
+    """numpy's reader and the per-cell parse load the same bits or raise the same error and warnings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = csv_outcome(path)
+        with exact_parse_only():
+            exact = csv_outcome(path)
+    assert fast == exact
 
 
 class TestSplit:

@@ -2,14 +2,19 @@
 
 import copy
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advclf.graph
 from advclf.adversarial import TrainConfig
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
+    MAX_NODES,
     Graph,
     GraphDiscriminator,
     GraphGenerator,
@@ -32,8 +37,11 @@ from advclf.graph import (
     split_edges,
     train_graph,
 )
-from advclf.nn import Layer, MlpParams, clone_params
+from advclf.nn import Layer, MlpParams, clone_params, forward
 from helpers import (
+    array_bits,
+    exact_parse_only,
+    load_outcome,
     graph_disc_update_add_at,
     graph_generator_step_add_at,
     pair_set,
@@ -163,6 +171,71 @@ def test_load_edge_list_collaboration_scale(tmp_path):
     g = load_edge_list(p)
     assert g.n_nodes == n_nodes
     assert g.n_edges == n_edges
+
+
+# what int() and numpy's reader each accept or refuse: signs, underscores, non-ASCII digits, hex,
+# floats, ids beyond int64 and beyond MAX_NODES, negatives and comment-like tokens
+ODD_IDS = ["+3", "1_0", "\u0663", "0x1", "1.0", "9223372036854775808", "4000000000", "-2", "-0", "007",
+           "#5", "x"]
+
+
+@st.composite
+def edge_texts(draw):
+    """An edge list with a few of the anomalies load_edge_list must name or accept."""
+    ids = st.integers(0, 30).map(str)
+    rows = [list(p) for p in draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(
+            ["odd id", "negative id", "extra id", "missing id", "self-loop", "every line +1"]
+        ))
+        if kind == "odd id" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_IDS))
+        elif kind == "negative id" and row:
+            row[draw(st.integers(0, len(row) - 1))] = str(draw(st.integers(-30, -1)))
+        elif kind == "extra id":
+            row.append(draw(ids))
+        elif kind == "missing id" and row:
+            row.pop()
+        elif kind == "self-loop" and row:
+            row[-1] = row[0]
+        elif kind == "every line +1":
+            for r in rows:
+                r.append(draw(ids))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from([" ", "\t", "  "])).join(row)
+             for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# c", " #0 1"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def edges_outcome(path):
+    return load_outcome(lambda: load_edge_list(path), lambda g: (g.n_nodes, *array_bits(g.edges)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=edge_texts())
+def test_load_edge_list_matches_its_token_by_token_parse(text):
+    """numpy's reader and the per-token parse load the same graph or raise the same error and warnings."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.txt"
+        path.write_bytes(text.encode("utf-8"))
+        fast = edges_outcome(path)
+        with exact_parse_only():
+            exact = edges_outcome(path)
+    assert fast == exact
+
+
+def test_graph_node_count_limit_is_the_largest_int64_pair_key():
+    """The largest key, (n - 1) * n + (n - 1) = n**2 - 1, fits in int64 exactly up to MAX_NODES nodes."""
+    assert (MAX_NODES**2 - 1 <= 2**63 - 1) and ((MAX_NODES + 1) ** 2 - 1 > 2**63 - 1)
+    top = MAX_NODES - 1
+    g = Graph(n_nodes=MAX_NODES, edges=np.array([[0, top], [top - 1, top]]))
+    assert g.has_edge(top, top - 1) and not g.has_edge(0, top - 1)
+    assert_same_pairs(g.pairs(), np.array([[0, top], [top - 1, top]]))
+    with pytest.raises(DataError, match=f"node id {MAX_NODES} is too large"):
+        Graph(n_nodes=MAX_NODES + 1, edges=[(0, 1)])
 
 
 def test_load_node_labels(tmp_path):
@@ -370,11 +443,11 @@ def test_generator_pair_weights_order_invariant():
     _, gen = init_graph_models(6, 3, (5,), rng, rng)
     pairs = np.array([[0, 5], [2, 1], [3, 4]])
     np.testing.assert_allclose(
-        generator_pair_weights(gen, pairs),
-        generator_pair_weights(gen, pairs[:, ::-1]),
+        generator_pair_weights(gen, pairs)[0],
+        generator_pair_weights(gen, pairs[:, ::-1])[0],
         atol=0.0,
     )
-    w = generator_pair_weights(gen, pairs)
+    w, _ = generator_pair_weights(gen, pairs)
     assert np.all(w > 0) and float(w.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -389,7 +462,9 @@ def test_degenerate_graph_generator_raises():
     with pytest.raises(TrainingError, match="degenerate generator"):
         generator_pair_weights(gen, pairs)
     with pytest.raises(TrainingError, match="degenerate generator"):
-        graph_generator_step(TrainConfig(batch_size=3), disc, gen, pairs)
+        # the activations generator_pair_weights would return, had it not raised
+        acts = forward(gen.mlp, np.hstack([gen.embeddings[[0, 1, 3]], gen.embeddings[[5, 2, 4]]]))
+        graph_generator_step(TrainConfig(batch_size=3), disc, gen, pairs, acts)
 
 
 def disc_objective(embeddings, bias, batch, neg_coeff):
@@ -411,7 +486,7 @@ def test_graph_disc_step_gradient_matches_finite_differences():
     disc, gen = init_graph_models(g.n_nodes, 3, (4,), rng, rng)
     batch = sample_pair_batch(g.pairs(), g, 5, rng)
     cfg = TrainConfig(batch_size=5, gamma=0.11, eta_d=0.7)
-    w = generator_pair_weights(gen, batch.neg)
+    w, _ = generator_pair_weights(gen, batch.neg)
     coeff = cfg.gamma * 5 * w
     table, bias = disc.embeddings.copy(), disc.bias  # the step updates disc in place
     new_disc, _ = graph_discriminator_step(cfg, disc, batch, w)
@@ -444,11 +519,11 @@ def test_graph_gen_step_gradient_matches_finite_differences():
 
     def objective(embeddings):
         probe = GraphGenerator(embeddings, mlp)
-        w = generator_pair_weights(probe, neg)
+        w, _ = generator_pair_weights(probe, neg)
         return float(np.sum(w * log1md) + cfg.lam * np.sum(w * np.log(w)))
 
     table = gen.embeddings.copy()  # the step updates gen in place
-    new_gen, _ = graph_generator_step(cfg, disc, gen, neg)
+    new_gen, _ = graph_generator_step(cfg, disc, gen, neg, generator_pair_weights(gen, neg)[1])
     analytic = (table - new_gen.embeddings) / cfg.eta_g
     eps = 1e-6
     for idx in np.ndindex(table.shape):
@@ -539,7 +614,7 @@ def test_graph_steps_bit_identical_to_full_table_add_at():
     cfg = TrainConfig(batch_size=40, gamma=0.03, eta_d=0.8, eta_g=0.2, lam=0.3)
     for _ in range(3):
         batch = sample_pair_batch(g.pairs(), g, 40, rng)
-        w = generator_pair_weights(gen, batch.neg)
+        w, acts = generator_pair_weights(gen, batch.neg)
         for step_disc, coeff in (
             (lambda d: graph_pretrain_step(d, batch, cfg.eta_d), np.full(40, 1.0 / 40)),
             (lambda d: graph_discriminator_step(cfg, d, batch, w), cfg.gamma * 40 * w),
@@ -550,7 +625,7 @@ def test_graph_steps_bit_identical_to_full_table_add_at():
             np.testing.assert_array_equal(bits(got.embeddings), bits(expected.embeddings))
             assert bits(got.bias) == bits(expected.bias)
         expected, exp_loss = graph_generator_step_add_at(cfg, disc, gen, batch.neg)
-        got, loss = graph_generator_step(cfg, disc, gen, batch.neg)
+        got, loss = graph_generator_step(cfg, disc, gen, batch.neg, acts)
         assert got is gen and loss == exp_loss
         np.testing.assert_array_equal(bits(got.embeddings), bits(expected.embeddings))
         for layer, exp_layer in zip(got.mlp.layers, expected.mlp.layers, strict=True):
@@ -623,7 +698,7 @@ def test_graph_step_with_non_finite_block_changes_nothing(step, monkeypatch):
         elif step == "discriminator":
             graph_discriminator_step(cfg, disc, batch, np.full(3, 1.0 / 3))
         else:
-            graph_generator_step(cfg, disc, gen, batch.neg)
+            graph_generator_step(cfg, disc, gen, batch.neg, generator_pair_weights(gen, batch.neg)[1])
     np.testing.assert_array_equal(bits(disc.embeddings), bits(before[0]))
     assert disc.bias == before[1]
     np.testing.assert_array_equal(bits(gen.embeddings), bits(before[2]))
