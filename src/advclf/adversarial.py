@@ -22,10 +22,11 @@ through probabilities. The objective lives once, in score space (_disc_terms,
 _normalized_weights, _gen_terms); graph.py reuses it with its own forward and
 backward passes.
 
-Both models are plain MlpParams: a logistic discriminator (one linear unit)
-and a generator whose raw sample weight is softplus of its one output. Each
-step updates its model in place and returns it with the loss; on a
-non-finite loss or gradient it raises TrainingError before changing anything.
+Both models are advclf.nn nets, lists of (weight, bias) pairs: a logistic
+discriminator (one linear unit) and a generator whose raw sample weight is
+softplus of its one output. Each step updates its model in place and
+returns it with the loss; on a non-finite loss or gradient it raises
+TrainingError before changing anything.
 """
 
 import math
@@ -179,8 +180,6 @@ def _disc_update(params, pos_batch, neg_batch, neg_coeff, eta_d):
 
 def pretrain_step(disc, pos_batch, neg_batch, eta_d):
     """Uniformly weighted warm-up update: both terms are plain batch means."""
-    pos_batch = np.asarray(pos_batch, dtype=np.float64)
-    neg_batch = np.asarray(neg_batch, dtype=np.float64)
     coeff = np.full(len(neg_batch), 1.0 / len(neg_batch))
     return _disc_update(disc, pos_batch, neg_batch, coeff, eta_d)
 
@@ -192,8 +191,6 @@ def discriminator_step(config, disc, pos_batch, neg_batch, weights):
     generator weights, so gamma = 1/m and uniform weights reduce exactly to
     pretrain_step on the same batches.
     """
-    pos_batch = np.asarray(pos_batch, dtype=np.float64)
-    neg_batch = np.asarray(neg_batch, dtype=np.float64)
     coeff = config.gamma * len(neg_batch) * np.asarray(weights, dtype=np.float64)
     return _disc_update(disc, pos_batch, neg_batch, coeff, config.eta_d)
 

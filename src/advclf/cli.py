@@ -408,7 +408,6 @@ THEORY_OPTIONS = {
     "lam": Option(TheoryConfig.lam, finite_float, flags=("--lam", "--lambda")),
     "p_plus": Option("uniform", str, "'uniform', 'random' or comma-separated probabilities"),
     "max_iters": Option(TheoryConfig.max_iters, int),
-    "step": Option(TheoryConfig.step, finite_float),
     "tol": Option(TheoryConfig.tol, finite_float),
     "out": Option(help="write the JSON result here as well as stdout"),
 }

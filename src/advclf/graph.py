@@ -25,8 +25,6 @@ from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weight
 from .errors import ConfigError, DataError, TrainingError
 from .metrics import confusion, evaluate_binary, macro_micro_f1
 from .nn import (
-    Layer,
-    MlpParams,
     backward,
     forward,
     init_mlp,
@@ -166,8 +164,9 @@ def _edge_pairs_exact(path, numbered):
 def load_node_labels(path, n_nodes):
     """The (n_nodes, n_classes) 0/1 label matrix from lines of node_id followed by label ids.
 
-    Row i holds node i's labels and n_classes is one past the largest label
-    id; a label given twice for a node, on one line or on two, sets one cell.
+    Row i holds node i's labels and column j the j-th smallest of the label
+    ids that occur, so an id no node carries adds no class; a label given
+    twice for a node, on one line or on two, sets one cell.
     """
     path = Path(path)
     nodes, labels = [], []
@@ -187,8 +186,10 @@ def load_node_labels(path, n_nodes):
         raise DataError(f"{path}: no label lines")
     if max(nodes) >= n_nodes:
         raise DataError(f"{path}: node id {max(nodes)} exceeds node count {n_nodes}")
-    y = np.zeros((n_nodes, max(labels) + 1))
-    y[nodes, labels] = 1.0
+    # exact for any int(): np.unique would read ids past int64 beside small ones as float64
+    column = {label: j for j, label in enumerate(sorted(set(labels)))}
+    y = np.zeros((n_nodes, len(column)))
+    y[nodes, [column[label] for label in labels]] = 1.0
     return y
 
 
@@ -298,7 +299,7 @@ class GraphGenerator:
     """Weights a pair through softplus(MLP([e_u ; e_v])) on its own table."""
 
     embeddings: np.ndarray  # (n_nodes, dim)
-    mlp: MlpParams
+    mlp: list  # (weight, bias) pairs, as advclf.nn takes them
 
 
 def init_graph_models(n_nodes, dim, gen_hidden, rng_d, rng_g):
@@ -470,7 +471,7 @@ def link_predict_eval(disc, test_pos, test_neg):
 
 def _fit_predict_logistic(x_train, y_train, x_test):
     """Logistic regression from zero init, 300 full-batch ascent steps at rate 0.5."""
-    params = MlpParams([Layer(np.zeros((x_train.shape[1], 1)), np.zeros(1))])
+    params = [(np.zeros((x_train.shape[1], 1)), np.zeros(1))]
     n = len(x_train)
     for _ in range(300):
         s = forward(params, x_train)[-1][:, 0]

@@ -1,15 +1,15 @@
 """Small dense networks with explicit backpropagation, all in float64 numpy.
 
-A net is its unit counts: every layer but the last is followed by a
-sigmoid, and the last is linear. Parameters live in plain dataclasses.
-forward and backward return fresh arrays, so repeated calls with the same
-inputs are reproducible bit for bit. sgd_step is the one operation that
-changes a net: it updates it in place, after checking every gradient, so a
-step that raises leaves the net as it was. finite_difference_grad is the
-deliberately slow oracle that backward is checked against.
+A net is a list of (weight, bias) ndarray pairs, weight (in_dim, out_dim)
+and bias (out_dim,): every layer but the last is followed by a sigmoid, and
+the last is linear. Gradients take the same format, so what backward returns
+is what sgd_step takes. forward and backward return fresh arrays, so
+repeated calls with the same inputs are reproducible bit for bit. sgd_step
+is the one operation that changes a net: it updates its arrays in place,
+after checking every gradient, so a step that raises leaves the net as it
+was. finite_difference_grad is the deliberately slow oracle that backward
+is checked against.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +36,7 @@ def stable_log_sigmoid(z):
 
 def stable_log_one_minus_sigmoid(z):
     """log(1 - sigmoid(z)) as -softplus(z)."""
-    return -softplus(np.asarray(z, dtype=np.float64))
-
-
-@dataclass
-class Layer:
-    weight: np.ndarray  # (in_dim, out_dim)
-    bias: np.ndarray  # (out_dim,)
-
-
-@dataclass
-class MlpParams:
-    layers: list
-
-    @property
-    def in_dim(self):
-        return self.layers[0].weight.shape[0]
+    return -softplus(z)
 
 
 def init_mlp(dims, rng):
@@ -61,16 +46,16 @@ def init_mlp(dims, rng):
         raise ConfigError("need at least an input and an output dimension")
     if min(dims) < 1:
         raise ConfigError(f"layer widths must be >= 1, got {dims}")
-    layers = []
+    params = []
     for in_dim, out_dim in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         weight = rng.uniform(-limit, limit, size=(in_dim, out_dim))
-        layers.append(Layer(weight, np.zeros(out_dim)))
-    return MlpParams(layers)
+        params.append((weight, np.zeros(out_dim)))
+    return params
 
 
 def clone_params(params):
-    return MlpParams([Layer(l.weight.copy(), l.bias.copy()) for l in params.layers])
+    return [(weight.copy(), bias.copy()) for weight, bias in params]
 
 
 def forward(params, batch):
@@ -80,13 +65,14 @@ def forward(params, batch):
     keeps it around for backward.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.in_dim:
-        raise ConfigError(f"batch shape {batch.shape} does not match input dim {params.in_dim}")
+    in_dim = params[0][0].shape[0]
+    if batch.ndim != 2 or batch.shape[1] != in_dim:
+        raise ConfigError(f"batch shape {batch.shape} does not match input dim {in_dim}")
     activations = [batch]
     out = batch
-    last = len(params.layers) - 1
-    for i, layer in enumerate(params.layers):
-        out = out @ layer.weight + layer.bias
+    last = len(params) - 1
+    for i, (weight, bias) in enumerate(params):
+        out = out @ weight + bias
         if i < last:
             out = sigmoid(out)
         activations.append(out)
@@ -99,14 +85,14 @@ def backward(params, activations, output_grad):
     Returns ([(d_weight, d_bias) per layer], d loss / d input batch).
     """
     delta = np.asarray(output_grad, dtype=np.float64)
-    last = len(params.layers) - 1
-    grads = [None] * len(params.layers)
+    last = len(params) - 1
+    grads = [None] * len(params)
     for i in range(last, -1, -1):
         if i < last:
             out = activations[i + 1]
             delta = delta * out * (1.0 - out)
         grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
-        delta = delta @ params.layers[i].weight.T
+        delta = delta @ params[i][0].T
     return grads, delta
 
 
@@ -116,9 +102,9 @@ def finite_difference_grad(loss_fn, params, epsilon=1e-5):
         raise ConfigError("epsilon must be positive")
     work = clone_params(params)
     grads = []
-    for layer in work.layers:
+    for layer in work:
         pair = []
-        for arr in (layer.weight, layer.bias):
+        for arr in layer:
             g = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -140,10 +126,10 @@ def sgd_step(params, grads, step):
 
     A non-finite gradient raises TrainingError before any layer changes.
     """
-    for _, (gw, gb) in zip(params.layers, grads, strict=True):
+    for _, (gw, gb) in zip(params, grads, strict=True):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise TrainingError("non-finite gradient")
-    for layer, (gw, gb) in zip(params.layers, grads):
-        layer.weight += step * gw
-        layer.bias += step * gb
+    for (weight, bias), (gw, gb) in zip(params, grads):
+        weight += step * gw
+        bias += step * gb
     return params

@@ -107,7 +107,6 @@ def generator_objective_grad(p, p_plus, lam):
 class TheoryConfig:
     lam: float = 0.0
     max_iters: int = 200_000
-    step: float = 1.0
     tol: float = 1e-12
 
     def __post_init__(self):
@@ -115,8 +114,6 @@ class TheoryConfig:
             raise ConfigError("lam must be finite and >= 0")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError("step must be finite and positive")
         if not 0.0 < self.tol < math.inf:
             raise ConfigError("tol must be finite and positive")
 
@@ -133,10 +130,11 @@ def minimize_generator(p_plus, config):
     """Minimize generator_objective over the simplex from the uniform start.
 
     Multiplicative-weight updates p <- normalize(p * exp(-step * grad)), with
-    the step halved whenever a trial update would increase the objective, so
-    the objective is non-increasing along the path. Stops once the largest
-    coordinate change of an accepted update falls below config.tol; the
-    converged flag reports whether that happened within max_iters.
+    the step starting at 1 each iteration and halved whenever a trial update
+    would increase the objective, so the objective is non-increasing along
+    the path. Stops once the largest coordinate change of an accepted update
+    falls below config.tol; the converged flag reports whether that happened
+    within max_iters.
     """
     p_plus = validate_distribution(p_plus)
     k = p_plus.size
@@ -147,7 +145,7 @@ def minimize_generator(p_plus, config):
     for iterations in range(1, config.max_iters + 1):
         grad = generator_objective_grad(p, p_plus, config.lam)
         grad = grad - grad.min()  # additive shifts cancel in the normalization
-        step = config.step
+        step = 1.0
         accepted = False
         for _ in range(60):
             q = p * np.exp(-step * grad)

@@ -23,8 +23,6 @@ from advclf.graph import (
 )
 from advclf.metrics import evaluate_binary
 from advclf.nn import (
-    Layer,
-    MlpParams,
     backward,
     finite_difference_grad,
     forward,
@@ -302,10 +300,10 @@ def graph_generator_step_add_at(config, disc, gen, neg_pairs):
     if not np.all(np.isfinite(emb_grad)):
         raise TrainingError("non-finite gradient")
     # a new MLP, not sgd_step: that updates gen.mlp, which the step under test starts from
-    new_mlp = MlpParams([
-        Layer(layer.weight - config.eta_g * gw, layer.bias - config.eta_g * gb)
-        for layer, (gw, gb) in zip(gen.mlp.layers, grads, strict=True)
-    ])
+    new_mlp = [
+        (weight - config.eta_g * gw, bias - config.eta_g * gb)
+        for (weight, bias), (gw, gb) in zip(gen.mlp, grads, strict=True)
+    ]
     return GraphGenerator(gen.embeddings - config.eta_g * emb_grad, new_mlp), loss
 
 

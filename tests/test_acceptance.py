@@ -46,8 +46,6 @@ from advclf.data import (
 from advclf.graph import link_predict_eval, split_edges, train_graph
 from advclf.metrics import auc_roc, evaluate_binary
 from advclf.nn import (
-    Layer,
-    MlpParams,
     backward,
     clone_params,
     finite_difference_grad,
@@ -274,10 +272,7 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     neg = rng.normal(size=(m, dim)) + 1.0
     disc = init_discriminator(dim, np.random.default_rng(50))
     seeded = init_generator(dim, hidden=(4,), rng=np.random.default_rng(51))
-    flat_gen = MlpParams([
-        Layer(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-        for layer in seeded.layers
-    ])
+    flat_gen = [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in seeded]
     config = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.3, seed=0)
     # each step updates its own copy of disc in place
     plain, _ = pretrain_step(clone_params(disc), pos, neg, config.eta_d)
@@ -287,8 +282,8 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
 
     def distance(x, y):
         return max(
-            max(np.abs(a.weight - b.weight).max(), np.abs(a.bias - b.bias).max())
-            for a, b in zip(x.layers, y.layers)
+            max(np.abs(wx - wy).max(), np.abs(bx - by).max())
+            for (wx, bx), (wy, by) in zip(x, y)
         )
 
     diff = distance(plain, adversarial)

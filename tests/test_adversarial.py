@@ -23,8 +23,6 @@ from advclf.adversarial import (
 from advclf.data import LabeledDataset, SynthSpec, synth_gaussian_imbalanced
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.nn import (
-    Layer,
-    MlpParams,
     clone_params,
     finite_difference_grad,
     forward,
@@ -39,24 +37,24 @@ from helpers import flatten_param_grads, grad_rel_error, warmup_only
 
 def linear_params(w, b):
     """Single identity layer with explicit weight matrix and bias vector."""
-    return MlpParams([Layer(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))])
+    return [(np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64))]
 
 
 def zeroed(params):
-    return MlpParams([Layer(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers])
+    return [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in params]
 
 
 def assert_params_equal(a, b, atol=0.0):
-    assert len(a.layers) == len(b.layers)
-    for la, lb in zip(a.layers, b.layers):
-        np.testing.assert_allclose(la.weight, lb.weight, atol=atol, rtol=0.0)
-        np.testing.assert_allclose(la.bias, lb.bias, atol=atol, rtol=0.0)
+    assert len(a) == len(b)
+    for (wa, ba), (wb, bb) in zip(a, b):
+        np.testing.assert_allclose(wa, wb, atol=atol, rtol=0.0)
+        np.testing.assert_allclose(ba, bb, atol=atol, rtol=0.0)
 
 
 def max_param_diff(a, b):
     return max(
-        max(np.max(np.abs(la.weight - lb.weight)), np.max(np.abs(la.bias - lb.bias)))
-        for la, lb in zip(a.layers, b.layers)
+        max(np.max(np.abs(wa - wb)), np.max(np.abs(ba - bb)))
+        for (wa, ba), (wb, bb) in zip(a, b)
     )
 
 
@@ -98,15 +96,13 @@ NAN, INF = float("nan"), float("inf")
     lambda: TrainConfig(lam=NAN),
     lambda: TrainConfig(lam=INF),
     lambda: TheoryConfig(lam=NAN),
-    lambda: TheoryConfig(step=NAN),
-    lambda: TheoryConfig(step=INF),
     lambda: TheoryConfig(tol=NAN),
     lambda: TheoryConfig(tol=INF),
     lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=NAN),
     lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=INF),
 ], ids=["train-eta_d-nan", "train-eta_g-inf", "train-gamma-nan", "train-gamma-inf", "train-lam-nan",
-        "train-lam-inf", "theory-lam-nan", "theory-step-nan", "theory-step-inf", "theory-tol-nan",
-        "theory-tol-inf", "synth-class_separation-nan", "synth-class_separation-inf"])
+        "train-lam-inf", "theory-lam-nan", "theory-tol-nan", "theory-tol-inf",
+        "synth-class_separation-nan", "synth-class_separation-inf"])
 def test_float_settings_reject_nan_and_inf(make):
     """A library caller is not behind the CLI's finite_float converters; each float field checks itself."""
     with pytest.raises(ConfigError, match="finite"):
@@ -235,8 +231,8 @@ def test_disc_step_recovers_gradient():
     new_disc, _ = discriminator_step(cfg, clone_params(disc), pos, neg, w)
     assert max_param_diff(new_disc, disc) > 0.0
     analytic = [
-        ((ln.weight - lo.weight) / cfg.eta_d, (ln.bias - lo.bias) / cfg.eta_d)
-        for lo, ln in zip(disc.layers, new_disc.layers)
+        ((w_new - w_old) / cfg.eta_d, (b_new - b_old) / cfg.eta_d)
+        for (w_old, b_old), (w_new, b_new) in zip(disc, new_disc)
     ]
     numeric = finite_difference_grad(objective, disc)
     assert grad_rel_error(flatten_param_grads(analytic), flatten_param_grads(numeric)) < 1e-6
@@ -260,15 +256,15 @@ def test_gen_step_recovers_gradient():
     new_gen, _ = generator_step(cfg, disc, clone_params(gen), forward(gen, neg))
     assert max_param_diff(new_gen, gen) > 0.0
     analytic = [
-        ((lo.weight - ln.weight) / cfg.eta_g, (lo.bias - ln.bias) / cfg.eta_g)
-        for lo, ln in zip(gen.layers, new_gen.layers)
+        ((w_old - w_new) / cfg.eta_g, (b_old - b_new) / cfg.eta_g)
+        for (w_old, b_old), (w_new, b_new) in zip(gen, new_gen)
     ]
     numeric = finite_difference_grad(objective, gen)
     assert grad_rel_error(flatten_param_grads(analytic), flatten_param_grads(numeric)) < 1e-6
 
 
 def bits(params):
-    return [a.view(np.uint64).copy() for layer in params.layers for a in (layer.weight, layer.bias)]
+    return [a.view(np.uint64).copy() for layer in params for a in layer]
 
 
 @pytest.mark.parametrize("cause", ["gradient", "loss"])

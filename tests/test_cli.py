@@ -487,7 +487,6 @@ GRAPH_ARGS = [
     small_train_args(**{"--lam": "nan", "--out-report": "out"}),
     small_train_args(**{"--gamma": "nan", "--out-report": "out"}),
     ["theory", "--tol", "nan", "--out", "out"],
-    ["theory", "--step", "inf", "--out", "out"],
 ])
 def test_non_finite_float_setting_exits_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -37,7 +37,7 @@ from advclf.graph import (
     split_edges,
     train_graph,
 )
-from advclf.nn import Layer, MlpParams, clone_params, forward
+from advclf.nn import clone_params, forward
 from helpers import (
     array_bits,
     exact_parse_only,
@@ -268,6 +268,30 @@ def test_load_node_labels_errors(tmp_path, content, fragment):
         load_node_labels(p, n_nodes=5)
 
 
+def test_label_ids_name_classes_only_by_their_order(tmp_path):
+    """Ids 0-3, 1-4 and 1000-1003 on one partition load as one 4-column matrix and probe alike.
+
+    An id that no node carries would be a class with no positives, scoring
+    F1 0 in every shuffle; a file with one id has one class, too few to probe.
+    """
+    rng = np.random.default_rng(11)
+    block = np.arange(200) % 4
+    emb = np.eye(4)[block] + 0.8 * rng.standard_normal((200, 4))
+    p = tmp_path / "labels.txt"
+    reports = []
+    for first in (0, 1, 1000):
+        p.write_text("".join(f"{i} {first + b}\n" for i, b in enumerate(block)))
+        y = load_node_labels(p, n_nodes=200)
+        np.testing.assert_array_equal(y, np.eye(4)[block])
+        reports.append(node_classification_eval(emb, y, train_frac=0.5, n_shuffles=3, seed=2))
+    assert reports[0] == reports[1] == reports[2]
+    p.write_text("0 5\n1 5\n")
+    y = load_node_labels(p, n_nodes=4)
+    assert y.shape == (4, 1)
+    with pytest.raises(ConfigError, match="two classes"):
+        node_classification_eval(emb[:4], y, 0.5, 1, 0)
+
+
 def test_load_node_labels_node_beyond_count(tmp_path):
     p = tmp_path / "labels.txt"
     p.write_text("7 1\n")
@@ -455,8 +479,8 @@ def test_degenerate_graph_generator_raises():
     # an output bias of -1000 makes every softplus underflow to exactly 0
     rng = np.random.default_rng(4)
     disc, gen = init_graph_models(6, 3, (5,), rng, rng)
-    *hidden, out = gen.mlp.layers
-    mlp = MlpParams([*hidden, Layer(out.weight, np.array([-1000.0]))])
+    *hidden, (out_weight, _) = gen.mlp
+    mlp = [*hidden, (out_weight, np.array([-1000.0]))]
     gen = GraphGenerator(gen.embeddings, mlp)
     pairs = np.array([[0, 5], [2, 1], [3, 4]])
     with pytest.raises(TrainingError, match="degenerate generator"):
@@ -560,7 +584,7 @@ def test_init_graph_models_validation():
     disc, gen = init_graph_models(5, 4, (3,), rng, rng)
     assert disc.embeddings.shape == (5, 4)
     assert np.max(np.abs(disc.embeddings)) <= 0.5 / 4
-    assert gen.mlp.in_dim == 8
+    assert gen.mlp[0][0].shape[0] == 8
 
 
 # --- in-place steps against the full-table np.add.at oracle ---
@@ -628,9 +652,9 @@ def test_graph_steps_bit_identical_to_full_table_add_at():
         got, loss = graph_generator_step(cfg, disc, gen, batch.neg, acts)
         assert got is gen and loss == exp_loss
         np.testing.assert_array_equal(bits(got.embeddings), bits(expected.embeddings))
-        for layer, exp_layer in zip(got.mlp.layers, expected.mlp.layers, strict=True):
-            np.testing.assert_array_equal(bits(layer.weight), bits(exp_layer.weight))
-            np.testing.assert_array_equal(bits(layer.bias), bits(exp_layer.bias))
+        for (weight, bias), (exp_weight, exp_bias) in zip(got.mlp, expected.mlp, strict=True):
+            np.testing.assert_array_equal(bits(weight), bits(exp_weight))
+            np.testing.assert_array_equal(bits(bias), bits(exp_bias))
 
 
 def test_train_graph_bit_identical_to_full_table_add_at():
@@ -691,7 +715,7 @@ def test_graph_step_with_non_finite_block_changes_nothing(step, monkeypatch):
 
         monkeypatch.setattr(advclf.graph, "backward", overflowing_backward)
     before = (disc.embeddings.copy(), disc.bias, gen.embeddings.copy(), gen.mlp)
-    mlp_before = [(layer.weight.copy(), layer.bias.copy()) for layer in gen.mlp.layers]
+    mlp_before = clone_params(gen.mlp)
     with pytest.raises(TrainingError, match="non-finite gradient"), np.errstate(over="ignore"):
         if step == "pretrain":
             graph_pretrain_step(disc, batch, cfg.eta_d)
@@ -703,9 +727,9 @@ def test_graph_step_with_non_finite_block_changes_nothing(step, monkeypatch):
     assert disc.bias == before[1]
     np.testing.assert_array_equal(bits(gen.embeddings), bits(before[2]))
     assert gen.mlp is before[3]
-    for layer, (weight, bias) in zip(gen.mlp.layers, mlp_before):
-        np.testing.assert_array_equal(bits(layer.weight), bits(weight))
-        np.testing.assert_array_equal(bits(layer.bias), bits(bias))
+    for (weight, bias), (old_weight, old_bias) in zip(gen.mlp, mlp_before):
+        np.testing.assert_array_equal(bits(weight), bits(old_weight))
+        np.testing.assert_array_equal(bits(bias), bits(old_bias))
 
 
 # --- training ---

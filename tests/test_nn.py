@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from advclf.errors import ConfigError, TrainingError
 from advclf.nn import (
-    Layer,
-    MlpParams,
     backward,
     clone_params,
     finite_difference_grad,
@@ -23,12 +21,10 @@ from helpers import check_backward_vs_fd, sigmoid_two_branch
 
 def tiny_net():
     # 2 -> 1 sigmoid, then 1 -> 1 identity, weights chosen for hand computation
-    return MlpParams(
-        [
-            Layer(np.array([[1.0], [2.0]]), np.array([-0.5])),
-            Layer(np.array([[1.0]]), np.array([0.25])),
-        ]
-    )
+    return [
+        (np.array([[1.0], [2.0]]), np.array([-0.5])),
+        (np.array([[1.0]]), np.array([0.25])),
+    ]
 
 
 def test_forward_hand_computed():
@@ -45,8 +41,8 @@ def test_forward_rejects_wrong_input_dim():
 
 def test_finite_difference_on_quadratic():
     # loss = w^2 at w=3 has gradient 6; the oracle itself must be right
-    params = MlpParams([Layer(np.array([[3.0]]), np.zeros(1))])
-    grads = finite_difference_grad(lambda p: float(p.layers[0].weight[0, 0] ** 2), params)
+    params = [(np.array([[3.0]]), np.zeros(1))]
+    grads = finite_difference_grad(lambda p: float(p[0][0][0, 0] ** 2), params)
     assert grads[0][0][0, 0] == pytest.approx(6.0, abs=1e-8)
     assert grads[0][1][0] == 0.0
 
@@ -94,12 +90,12 @@ def test_backward_input_grad_matches_finite_differences():
 
 
 def test_sgd_step_signed_rate_in_place():
-    params = MlpParams([Layer(np.array([[1.0]]), np.array([2.0]))])
-    weight, bias = params.layers[0].weight, params.layers[0].bias
+    weight, bias = np.array([[1.0]]), np.array([2.0])
+    params = [(weight, bias)]
     grads = [(np.array([[0.5]]), np.array([0.25]))]
     assert sgd_step(params, grads, 0.1) is params
     # the arrays themselves were updated, not replaced
-    assert params.layers[0].weight is weight and params.layers[0].bias is bias
+    assert params[0][0] is weight and params[0][1] is bias
     assert weight[0, 0] == pytest.approx(1.05)
     assert bias[0] == pytest.approx(2.025)
     sgd_step(params, grads, -0.2)
@@ -111,24 +107,24 @@ def test_sgd_step_validates():
     """A non-finite gradient in any layer, or a missing layer, raises before any layer changes."""
     params = init_mlp((2, 3, 1), np.random.default_rng(0))
     before = clone_params(params)
-    grads = [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in params.layers]
+    grads = [(np.ones_like(weight), np.ones_like(bias)) for weight, bias in params]
     grads[-1][1][0] = np.nan
     with pytest.raises(TrainingError):
         sgd_step(params, grads, 0.1)
     with pytest.raises(ValueError):
         sgd_step(params, grads[:1], 0.1)
-    for layer, old in zip(params.layers, before.layers):
-        np.testing.assert_array_equal(layer.weight, old.weight)
-        np.testing.assert_array_equal(layer.bias, old.bias)
+    for (weight, bias), (old_weight, old_bias) in zip(params, before):
+        np.testing.assert_array_equal(weight, old_weight)
+        np.testing.assert_array_equal(bias, old_bias)
 
 
 def test_init_respects_glorot_bounds():
     rng = np.random.default_rng(0)
     params = init_mlp((100, 50, 1), rng)
-    for layer in params.layers:
-        limit = np.sqrt(6.0 / sum(layer.weight.shape))
-        assert np.abs(layer.weight).max() <= limit
-        assert np.all(layer.bias == 0.0)
+    for weight, bias in params:
+        limit = np.sqrt(6.0 / sum(weight.shape))
+        assert np.abs(weight).max() <= limit
+        assert np.all(bias == 0.0)
 
 
 def test_init_mlp_validation():

@@ -196,8 +196,6 @@ def test_theory_config_validation():
     with pytest.raises(ConfigError):
         TheoryConfig(max_iters=0)
     with pytest.raises(ConfigError):
-        TheoryConfig(step=0.0)
-    with pytest.raises(ConfigError):
         TheoryConfig(tol=-1e-9)
 
 
