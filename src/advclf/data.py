@@ -1,7 +1,8 @@
 """Dataset loading, deterministic splits, standardization, synthetic draws.
 
 Label 1 is always the minority/positive class. CSV parsing is deliberately
-strict: UTF-8, comma separated, one header row, no quoting support.
+strict: UTF-8 (a leading byte-order mark is dropped), comma separated, one
+header row, no quoting support.
 """
 
 import math
@@ -60,7 +61,7 @@ def load_csv(path, label_column, positive_label):
         raise DataError(f"no such file: {path}")
     rows = [
         (lineno, line)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1)
         if line.strip()
     ]
     if not rows:

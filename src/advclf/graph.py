@@ -90,14 +90,51 @@ class Graph:
         return np.column_stack(np.divmod(self.edges, self.n_nodes))
 
 
-def _data_lines(path):
-    """(lineno, line) for each line of path that is not blank and does not start with '#'."""
+def _read_text(path):
+    """The text of path, a leading UTF-8 byte-order mark dropped."""
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    return path.read_text(encoding="utf-8-sig")
+
+
+def _data_lines(text):
+    """(lineno, line) for each line of text that is not blank and does not start with '#'."""
+    numbered = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if stripped and stripped[0] != "#":
-            yield lineno, line
+            numbered.append((lineno, line))
+    return numbered
+
+
+def _reader_lines(text):
+    """The lines of text for numpy's reader: its data lines, or [] if it has none.
+
+    The reader skips blank lines itself, and its whitespace is str.split()'s
+    within a line, so only a text that holds a '#' needs _data_lines' filter.
+    """
+    if "#" in text:
+        return [line for _, line in _data_lines(text)]
+    return [] if text.isspace() else text.splitlines()
+
+
+def _id_pairs(lines):
+    """The lines as a (k, 2) int64 array of nonnegative ids through numpy's C reader, or None.
+
+    The reader takes int()'s grammar less underscores and non-ASCII digits,
+    and no id beyond int64. None when there is no line or the reader rejects
+    one, or a line does not hold exactly two ids or holds a negative one;
+    the per-token parse then names the line.
+    """
+    if not lines:
+        return None
+    try:
+        pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if pairs.shape[1] != 2 or (pairs < 0).any():
+        return None
+    return pairs
 
 
 def load_edge_list(path):
@@ -110,31 +147,12 @@ def load_edge_list(path):
     fails as that parse alone would have it.
     """
     path = Path(path)
-    numbered = list(_data_lines(path))
-    if not numbered:
-        raise DataError(f"{path}: no edges")
-    pairs = _edge_pairs([line for _, line in numbered])
-    if pairs is None:
-        pairs = _edge_pairs_exact(path, numbered)
+    text = _read_text(path)
+    pairs = _id_pairs(_reader_lines(text))
+    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
+        pairs = _edge_pairs_exact(path, _data_lines(text))
     # int() first: an id at the int64 limit must not wrap when one is added
     return Graph(n_nodes=int(pairs.max()) + 1, edges=pairs)
-
-
-def _edge_pairs(lines):
-    """The (k, 2) int64 ids of the data lines through numpy's C reader, or None if a line is rejected.
-
-    The reader takes int()'s grammar less underscores and non-ASCII digits,
-    and no id beyond int64. A line it cannot parse, without exactly two ids,
-    with a negative id or with a self-loop is left to _edge_pairs_exact,
-    which names it.
-    """
-    try:
-        pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if pairs.shape[1] != 2 or (pairs < 0).any() or (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    return pairs
 
 
 def _edge_pairs_exact(path, numbered):
@@ -142,8 +160,10 @@ def _edge_pairs_exact(path, numbered):
 
     The array holds Python ints, so an id beyond int64 reaches Graph, which
     names it. Raises DataError at the first line that is not two distinct
-    nonnegative ids.
+    nonnegative ids, or if there is no line.
     """
+    if not numbered:
+        raise DataError(f"{path}: no edges")
     edges = []
     for lineno, line in numbered:
         tokens = line.split()
@@ -166,11 +186,34 @@ def load_node_labels(path, n_nodes):
 
     Row i holds node i's labels and column j the j-th smallest of the label
     ids that occur, so an id no node carries adds no class; a label given
-    twice for a node, on one line or on two, sets one cell.
+    twice for a node, on one line or on two, sets one cell. numpy's C reader
+    parses a file whose every line holds one label; any other file, or one
+    the reader or a check rejects, takes the per-token parse, so every file
+    loads or fails as that parse alone would have it.
     """
     path = Path(path)
+    text = _read_text(path)
+    pairs = _id_pairs(_reader_lines(text))
+    nodes, labels = _label_ids_exact(path, _data_lines(text)) if pairs is None else pairs.T
+    top = nodes.max()
+    if top >= n_nodes:
+        raise DataError(f"{path}: node id {top} exceeds node count {n_nodes}")
+    # exact on the object arrays too: they sort Python ints, even ones past int64
+    classes, column = np.unique(labels, return_inverse=True)
+    y = np.zeros((n_nodes, len(classes)))
+    y[nodes.astype(np.int64), column] = 1.0
+    return y
+
+
+def _label_ids_exact(path, numbered):
+    """(nodes, labels) of the (lineno, line) data lines, token by token with int(), as object arrays.
+
+    A line of a node and j labels gives j (node, label) entries. Raises
+    DataError at the first line that is not a node id plus at least one
+    label id, all nonnegative, or if there is no line.
+    """
     nodes, labels = [], []
-    for lineno, line in _data_lines(path):
+    for lineno, line in numbered:
         tokens = line.split()
         if len(tokens) < 2:
             raise DataError(f"{path} line {lineno}: expected node_id plus at least one label id")
@@ -184,13 +227,7 @@ def load_node_labels(path, n_nodes):
         labels += values[1:]
     if not nodes:
         raise DataError(f"{path}: no label lines")
-    if max(nodes) >= n_nodes:
-        raise DataError(f"{path}: node id {max(nodes)} exceeds node count {n_nodes}")
-    # exact for any int(): np.unique would read ids past int64 beside small ones as float64
-    column = {label: j for j, label in enumerate(sorted(set(labels)))}
-    y = np.zeros((n_nodes, len(column)))
-    y[nodes, [column[label] for label in labels]] = 1.0
-    return y
+    return np.array(nodes, dtype=object), np.array(labels, dtype=object)
 
 
 # the rejection samplers give up after this many tries per pair asked for
@@ -470,15 +507,24 @@ def link_predict_eval(disc, test_pos, test_neg):
 
 
 def _fit_predict_logistic(x_train, y_train, x_test):
-    """Logistic regression from zero init, 300 full-batch ascent steps at rate 0.5."""
-    params = [(np.zeros((x_train.shape[1], 1)), np.zeros(1))]
-    n = len(x_train)
+    """One logistic regression per column of the (n, k) 0/1 y_train, fit in lockstep.
+
+    Each head starts from zero and takes 300 full-batch ascent steps at rate
+    0.5. The heads are a (k, d, 1) weight stack and (k, 1) biases, and
+    matmul gives each head the product a lone head would get, so each is fit
+    bit for bit as it would be alone. Returns the (n_test, k) 0/1
+    predictions at probability 0.5 and the fitted [(weights, biases)].
+    """
+    n, k = y_train.shape
+    params = [(np.zeros((k, x_train.shape[1], 1)), np.zeros((k, 1)))]
+    w, b = params[0]
+    targets = y_train.T[:, :, None]
     for _ in range(300):
-        s = forward(params, x_train)[-1][:, 0]
-        # backward() for one identity layer, without the unused input gradient
-        delta = ((y_train - sigmoid(s)) / n)[:, None]
-        sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5)
-    return (sigmoid(forward(params, x_test)[-1][:, 0]) >= 0.5).astype(int)
+        # backward() for one identity layer per head, without the unused input gradient
+        delta = (targets - sigmoid(x_train @ w + b[:, None])) / n
+        sgd_step(params, [(x_train.T @ delta, delta.sum(axis=1))], 0.5)
+    pred = sigmoid(x_test @ w + b[:, None]) >= 0.5
+    return pred[:, :, 0].T.astype(int), params
 
 
 def check_probe_settings(y, n_nodes, train_frac, n_shuffles):
@@ -499,10 +545,10 @@ def node_classification_eval(embeddings, y, train_frac, n_shuffles, seed):
     """One-vs-all logistic probes on frozen embeddings and the 0/1 label matrix y.
 
     Per shuffle, train_frac of the nodes are visible; a logistic head per
-    class is fit on the visible embeddings and each hidden node receives
-    every label whose head outputs probability >= 0.5. A class with no
-    visible positive node predicts negative. Returns mean and std of
-    micro/macro F1 over the shuffles.
+    class is fit on the visible embeddings, the shuffle's heads in lockstep,
+    and each hidden node receives every label whose head outputs probability
+    >= 0.5. A class with no visible positive node predicts negative. Returns
+    mean and std of micro/macro F1 over the shuffles.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
@@ -513,14 +559,14 @@ def node_classification_eval(embeddings, y, train_frac, n_shuffles, seed):
         rng = np.random.default_rng(child)
         perm = rng.permutation(n)
         visible, hidden = perm[:n_visible], perm[n_visible:]
+        y_vis = y[visible]
+        fit = y_vis.sum(axis=0) > 0
+        pred = np.zeros((len(hidden), y.shape[1]), dtype=int)
+        if fit.any():
+            pred[:, fit] = _fit_predict_logistic(emb[visible], y_vis[:, fit], emb[hidden])[0]
         counts = []
         for c in range(y.shape[1]):
-            y_vis = y[visible, c]
-            if y_vis.sum() == 0:
-                pred = np.zeros(len(hidden), dtype=int)
-            else:
-                pred = _fit_predict_logistic(emb[visible], y_vis, emb[hidden])
-            tp, fp, _, fn = confusion(pred, y[hidden, c].astype(int))
+            tp, fp, _, fn = confusion(pred[:, c], y[hidden, c].astype(int))
             counts.append((tp, fp, fn))
         macro, micro = macro_micro_f1(counts)
         micros.append(micro)

@@ -20,8 +20,9 @@ def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     # one exp of -|z| (never overflows): 1/(1+e) for z >= 0, e/(1+e) below.
     # minimum(z, -z) rather than -abs(z) keeps the sign bit of a NaN input.
+    # e <= 1 where z >= 0, so the maximum picks 1.0 there and e elsewhere, NaN included.
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0.0) / (1.0 + e)
 
 
 def softplus(z):

@@ -17,36 +17,40 @@ from advclf.graph import (
     GraphGenerator,
     PairBatch,
     generator_pair_weights,
+    check_probe_settings,
     init_graph_models,
     pair_logits,
     sample_pair_batch,
 )
-from advclf.metrics import evaluate_binary
+from advclf.metrics import confusion, evaluate_binary, macro_micro_f1
 from advclf.nn import (
     backward,
     finite_difference_grad,
     forward,
+    sgd_step,
+    sigmoid,
     stable_log_one_minus_sigmoid,
 )
 
 
 @contextlib.contextmanager
 def exact_parse_only():
-    """Within the block, load_csv and load_edge_list skip numpy's C reader and parse cell by cell."""
+    """Within the block, load_csv and the graph loaders skip numpy's C reader and parse cell by cell."""
     with mock.patch.object(advclf.data, "_csv_cells", lambda *args: None), \
-            mock.patch.object(advclf.graph, "_edge_pairs", lambda lines: None):
+            mock.patch.object(advclf.graph, "_id_pairs", lambda lines: None):
         yield
 
 
 @contextlib.contextmanager
 def c_reader_only():
-    """Within the block, a load_csv or load_edge_list that falls back to the per-cell parse fails."""
+    """Within the block, a load_csv or graph loader call that falls back to the per-cell parse fails."""
 
     def fallback(*args):
         raise AssertionError("numpy's reader rejected the file")
 
     with mock.patch.object(advclf.data, "_csv_cells_exact", fallback), \
-            mock.patch.object(advclf.graph, "_edge_pairs_exact", fallback):
+            mock.patch.object(advclf.graph, "_edge_pairs_exact", fallback), \
+            mock.patch.object(advclf.graph, "_label_ids_exact", fallback):
         yield
 
 
@@ -329,3 +333,52 @@ def train_graph_add_at(config, graph, train_edges, dim, gen_hidden):
         gen, g_loss = graph_generator_step_add_at(config, disc, gen, batch.neg)
         trace.record(d_loss, g_loss, w)
     return disc, gen, trace
+
+
+# Node-label probes one class at a time, each head fit alone through forward
+# and sgd_step. advclf.graph fits a shuffle's heads in lockstep; its weights,
+# predictions and reports must match these bit for bit.
+
+
+def fit_logistic_head(x_train, y_col):
+    """One (d, 1) logistic head from zero init, 300 full-batch ascent steps at rate 0.5; returns [(w, b)]."""
+    params = [(np.zeros((x_train.shape[1], 1)), np.zeros(1))]
+    n = len(x_train)
+    for _ in range(300):
+        s = forward(params, x_train)[-1][:, 0]
+        delta = ((y_col - sigmoid(s)) / n)[:, None]
+        sgd_step(params, [(x_train.T @ delta, delta.sum(axis=0))], 0.5)
+    return params
+
+
+def predict_logistic_head(params, x):
+    return (sigmoid(forward(params, x)[-1][:, 0]) >= 0.5).astype(int)
+
+
+def node_classification_eval_per_class(embeddings, y, train_frac, n_shuffles, seed):
+    """node_classification_eval with a lone head per class; a class with no visible positive predicts 0."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    n = emb.shape[0]
+    n_visible = check_probe_settings(y, n, train_frac, n_shuffles)
+    micros, macros = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_shuffles):
+        perm = np.random.default_rng(child).permutation(n)
+        visible, hidden = perm[:n_visible], perm[n_visible:]
+        counts = []
+        for c in range(y.shape[1]):
+            if y[visible, c].sum() == 0:
+                pred = np.zeros(len(hidden), dtype=int)
+            else:
+                pred = predict_logistic_head(fit_logistic_head(emb[visible], y[visible, c]), emb[hidden])
+            tp, fp, _, fn = confusion(pred, y[hidden, c].astype(int))
+            counts.append((tp, fp, fn))
+        macro, micro = macro_micro_f1(counts)
+        micros.append(micro)
+        macros.append(macro)
+    return {
+        "micro_f1_mean": float(np.mean(micros)),
+        "micro_f1_std": float(np.std(micros)),
+        "macro_f1_mean": float(np.mean(macros)),
+        "macro_f1_std": float(np.std(macros)),
+        "n_shuffles": int(n_shuffles),
+    }

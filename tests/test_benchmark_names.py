@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from advclf.data import load_csv
-from advclf.graph import load_edge_list
+from advclf.graph import load_edge_list, load_node_labels
 from helpers import array_bits, c_reader_only, exact_parse_only
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -57,9 +57,9 @@ def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
     """The benchmark's setup_s path calls advclf's loaders and splitters on each workload's input.
 
     perfbench only times these calls, so a changed signature or return value
-    would break the benchmark without failing any other test. Each input
-    must also load through numpy's reader, without falling back, bit for bit
-    as the per-cell parse loads it.
+    would break the benchmark without failing any other test. Each input,
+    the label file included, must also load through numpy's reader, without
+    falling back, bit for bit as the per-cell parse loads it.
     """
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -75,7 +75,10 @@ def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
         else:
             def load():
                 graph = load_edge_list(inp.setup_paths["edges"])
-                return graph.n_nodes, array_bits(graph.edges)
+                bits = array_bits(graph.edges)
+                if "labels" in inp.setup_paths:
+                    bits += array_bits(load_node_labels(inp.setup_paths["labels"], n_nodes=graph.n_nodes))
+                return graph.n_nodes, bits
         with c_reader_only():
             fast = load()
         with exact_parse_only():

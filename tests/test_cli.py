@@ -588,6 +588,51 @@ def test_graph_report_deterministic(capsys, tmp_path):
     assert ra == rb
 
 
+def small_csv_text(n=60):
+    """A headered CSV, label column first, with a shifted minority of one in four rows."""
+    rng = np.random.default_rng(3)
+    rows = ["label,f0,f1"]
+    for i in range(n):
+        label = int(i % 4 == 0)
+        rows.append(",".join([str(label), *(repr(float(v)) for v in rng.normal(label, 1.0, 2))]))
+    return "\n".join(rows) + "\n"
+
+
+BOM_CASES = {
+    "edges.txt": ["graph", "--edges", "edges.txt", *GRAPH_ARGS],
+    "labels.txt": ["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--label-shuffles", "2",
+                   *GRAPH_ARGS],
+    "data.csv": ["train", "--data", "data.csv", "--batch-size", "8",
+                 "--pretrain-iters", "5", "--train-iters", "2", "--gen-arch", "4"],
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_CASES))
+def test_leading_byte_order_mark_gives_the_same_report(capsys, tmp_path, monkeypatch, name):
+    """Excel's "CSV UTF-8" and Notepad start a file with U+FEFF; each loader drops it."""
+    edges = tmp_path / "edges.txt"
+    write_clique_edges(edges)
+    texts = {
+        "edges.txt": edges.read_text(encoding="utf-8"),
+        "labels.txt": "".join(f"{i} {int(i >= 6)}\n" for i in range(12)),
+        "data.csv": small_csv_text(),
+    }
+    reports = []
+    for bom in ("", "\ufeff"):
+        run_dir = tmp_path / f"run{len(reports)}"
+        run_dir.mkdir()
+        for file_name, text in texts.items():
+            prefix = bom if file_name == name else ""
+            (run_dir / file_name).write_text(prefix + text, encoding="utf-8")
+        monkeypatch.chdir(run_dir)
+        code, out, err = run_cli(capsys, BOM_CASES[name])
+        assert code == 0, err
+        report = json_payload(out)
+        report.pop("wall_clock_sec")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_graph_missing_edges_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["graph", "--edges", str(tmp_path / "absent.txt")])
     assert code == 1

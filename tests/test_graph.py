@@ -30,6 +30,7 @@ from advclf.graph import (
     pair_logits,
     predict_pairs,
     PairBatch,
+    _fit_predict_logistic,
     _scatter_rows,
     sample_non_edges,
     sample_pair_batch,
@@ -41,10 +42,13 @@ from advclf.nn import clone_params, forward
 from helpers import (
     array_bits,
     exact_parse_only,
+    fit_logistic_head,
     load_outcome,
     graph_disc_update_add_at,
     graph_generator_step_add_at,
+    node_classification_eval_per_class,
     pair_set,
+    predict_logistic_head,
     sample_non_edges_loop,
     sample_pair_batch_loop,
     sbm_graph,
@@ -142,11 +146,13 @@ def test_load_edge_list_dedupes_either_order(tmp_path):
         ("0 1\n-1 2\n", "line 2"),
         ("3 3\n", "self-loop"),
         ("# nothing\n", "no edges"),
+        ("\n \u3000\n\t\n", "no edges"),
+        ("", "no edges"),
     ],
 )
 def test_load_edge_list_errors(tmp_path, content, fragment):
     p = tmp_path / "bad.txt"
-    p.write_text(content)
+    p.write_text(content, encoding="utf-8")
     with pytest.raises(DataError, match=fragment):
         load_edge_list(p)
 
@@ -202,12 +208,24 @@ def edge_texts(draw):
         elif kind == "every line +1":
             for r in rows:
                 r.append(draw(ids))
+    return file_text(draw, rows)
+
+
+def file_text(draw, rows):
+    """The token rows as a file's text, with blank lines, and comment lines unless the file is '#'-free.
+
+    Blank lines include U+3000-only ones, which str.split() and numpy's
+    reader both take as whitespace. Line ends are LF or CRLF, and the text
+    may start with a UTF-8 byte-order mark.
+    """
     lines = [draw(st.sampled_from(["", " ", "\t"])) + draw(st.sampled_from([" ", "\t", "  "])).join(row)
              for row in rows]
+    extra = ["", "  ", "\u3000"] + (["# c", " #0 1"] if draw(st.booleans()) else [])
     for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# c", " #0 1"])))
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(extra)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
 def edges_outcome(path):
@@ -224,6 +242,51 @@ def test_load_edge_list_matches_its_token_by_token_parse(text):
         fast = edges_outcome(path)
         with exact_parse_only():
             exact = edges_outcome(path)
+    assert fast == exact
+
+
+# what int() and numpy's reader each accept or refuse in a label file
+ODD_LABEL_IDS = ["+3", "1_0", "\u0661\u0662", "9223372036854775808", "-2", "-0", "x", "#5"]
+
+
+@st.composite
+def label_texts(draw):
+    """A label file, and the node count it is loaded with, with a few of the anomalies load_node_labels meets.
+
+    Half the files hold two ids on every line, the reader's case; the others
+    mix lines of one to four ids.
+    """
+    n_nodes = draw(st.integers(1, 12))
+    nodes, labels = st.integers(0, n_nodes - 1).map(str), st.integers(0, 12).map(str)
+    widths = st.just(1) if draw(st.booleans()) else st.sampled_from([0, 1, 1, 2, 3])
+    rows = [[draw(nodes)] + draw(st.lists(labels, min_size=width, max_size=width))
+            for width in draw(st.lists(widths, max_size=6))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["odd id", "negative id", "node past the count"]))
+        if kind == "node past the count":
+            row[0] = str(n_nodes + draw(st.integers(0, 2)))
+        else:
+            odd = st.sampled_from(ODD_LABEL_IDS) if kind == "odd id" else st.integers(-9, -1).map(str)
+            row[draw(st.integers(0, len(row) - 1))] = draw(odd)
+    return file_text(draw, rows), n_nodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=label_texts())
+def test_load_node_labels_matches_its_token_by_token_parse(case):
+    """numpy's reader and the per-token parse load the same matrix or raise the same error and warnings."""
+    text, n_nodes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome():
+            return load_outcome(lambda: load_node_labels(path, n_nodes), array_bits)
+
+        fast = outcome()
+        with exact_parse_only():
+            exact = outcome()
     assert fast == exact
 
 
@@ -259,11 +322,13 @@ def test_load_node_labels(tmp_path):
         ("0 a\n", "non-integer"),
         ("0 -1\n", "negative"),
         ("", "no label lines"),
+        ("\n \u3000\n", "no label lines"),
+        ("# 0 1\n", "no label lines"),
     ],
 )
 def test_load_node_labels_errors(tmp_path, content, fragment):
     p = tmp_path / "bad.txt"
-    p.write_text(content)
+    p.write_text(content, encoding="utf-8")
     with pytest.raises(DataError, match=fragment):
         load_node_labels(p, n_nodes=5)
 
@@ -843,6 +908,35 @@ def test_node_classification_handles_class_with_no_visible_positives():
     out = node_classification_eval(emb, y, train_frac=0.5, n_shuffles=6, seed=0)
     assert 0.0 <= out["macro_f1_mean"] <= 1.0
     assert out["micro_f1_std"] >= 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
+def test_lockstep_probes_match_lone_heads_bit_for_bit(n, k):
+    """Each head of the lockstep fit has a lone head's weights, bias and predictions, zero-target ones too."""
+    rng = np.random.default_rng(n * 10 + k)
+    x_train, x_test = rng.standard_normal((n, 6)), rng.standard_normal((9, 6))
+    y_train = (rng.random((n, k)) < 0.4).astype(np.float64)
+    y_train[:, 0] = 0.0
+    pred, [(w, b)] = _fit_predict_logistic(x_train, y_train, x_test)
+    heads = [fit_logistic_head(x_train, y_train[:, c]) for c in range(k)]
+    want = np.column_stack([predict_logistic_head(head, x_test) for head in heads])
+    assert array_bits(pred) == array_bits(want)
+    for c, [(w_c, b_c)] in enumerate(heads):
+        assert array_bits(w[c], b[c]) == array_bits(w_c, b_c)
+
+
+@pytest.mark.parametrize("n,k,train_frac", [(10, 2, 0.1), (30, 3, 0.5), (200, 8, 0.9)])
+def test_node_classification_matches_per_class_probes(n, k, train_frac):
+    """The report equals the per-class loop's, where some shuffles leave a class or every class unfit."""
+    rng = np.random.default_rng(n + k)
+    emb = rng.standard_normal((n, 4))
+    y = np.zeros((n, k))
+    y[np.arange(n), rng.integers(0, k, n)] = 1.0
+    y[:, 0] = 0.0
+    y[rng.integers(0, n), 0] = 1.0  # one positive: hidden in most shuffles
+    got = node_classification_eval(emb, y, train_frac, n_shuffles=6, seed=4)
+    assert got == node_classification_eval_per_class(emb, y, train_frac, n_shuffles=6, seed=4)
 
 
 def test_node_classification_validation():
