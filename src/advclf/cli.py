@@ -23,6 +23,8 @@ from .adversarial import TrainConfig, predict, train
 from .data import (
     SplitSpec,
     SynthSpec,
+    _data_lines,
+    _read_text,
     load_csv,
     oversample_minority,
     save_csv,
@@ -129,10 +131,8 @@ def load_config_file(path):
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in _data_lines(_read_text(path)):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
         if "=" not in stripped:
             raise ConfigError(f"{path} line {lineno}: expected key=value, got {stripped!r}")
         key, value = stripped.split("=", 1)

@@ -1,8 +1,10 @@
 """Dataset loading, deterministic splits, standardization, synthetic draws.
 
-Label 1 is always the minority/positive class. CSV parsing is deliberately
-strict: UTF-8 (a leading byte-order mark is dropped), comma separated, one
-header row, no quoting support.
+Label 1 is always the minority/positive class. Every text input (CSV,
+edge, label and config files) is read by _read_text, UTF-8 with a leading
+byte-order mark dropped; the line-oriented ones drop blank and '#' lines
+through _data_lines. CSV parsing is deliberately strict: comma separated,
+one header row, no quoting support, and no comment lines.
 """
 
 import math
@@ -46,6 +48,23 @@ class LabeledDataset:
         return self.features[self.labels == 0]
 
 
+def _read_text(path):
+    """The text of path, a leading UTF-8 byte-order mark dropped."""
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    return path.read_text(encoding="utf-8-sig")
+
+
+def _data_lines(text):
+    """(lineno, line) for each line of text that is not blank and does not start with '#'."""
+    numbered = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
+            numbered.append((lineno, line))
+    return numbered
+
+
 def load_csv(path, label_column, positive_label):
     """Parse a headered comma-separated file into a LabeledDataset.
 
@@ -57,13 +76,8 @@ def load_csv(path, label_column, positive_label):
     usable for evaluation only.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    rows = [
-        (lineno, line)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1)
-        if line.strip()
-    ]
+    numbered = enumerate(_read_text(path).splitlines(), start=1)
+    rows = [(lineno, line) for lineno, line in numbered if line.strip()]
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0][1].split(",")]

@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weights
+from .data import _data_lines, _read_text
 from .errors import ConfigError, DataError, TrainingError
-from .metrics import confusion, evaluate_binary, macro_micro_f1
+from .metrics import evaluate_binary, macro_micro_f1
 from .nn import (
     backward,
     forward,
@@ -88,23 +89,6 @@ class Graph:
     def pairs(self):
         """The edges as a (n_edges, 2) int64 array of (lo, hi) rows in ascending order."""
         return np.column_stack(np.divmod(self.edges, self.n_nodes))
-
-
-def _read_text(path):
-    """The text of path, a leading UTF-8 byte-order mark dropped."""
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    return path.read_text(encoding="utf-8-sig")
-
-
-def _data_lines(text):
-    """(lineno, line) for each line of text that is not blank and does not start with '#'."""
-    numbered = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
-        if stripped and stripped[0] != "#":
-            numbered.append((lineno, line))
-    return numbered
 
 
 def _reader_lines(text):
@@ -564,11 +548,11 @@ def node_classification_eval(embeddings, y, train_frac, n_shuffles, seed):
         pred = np.zeros((len(hidden), y.shape[1]), dtype=int)
         if fit.any():
             pred[:, fit] = _fit_predict_logistic(emb[visible], y_vis[:, fit], emb[hidden])[0]
-        counts = []
-        for c in range(y.shape[1]):
-            tp, fp, _, fn = confusion(pred[:, c], y[hidden, c].astype(int))
-            counts.append((tp, fp, fn))
-        macro, micro = macro_micro_f1(counts)
+        hit, truth = pred == 1, y[hidden] == 1
+        tp = np.count_nonzero(hit & truth, axis=0)
+        fp = np.count_nonzero(hit & ~truth, axis=0)
+        fn = np.count_nonzero(~hit & truth, axis=0)
+        macro, micro = macro_micro_f1(zip(tp, fp, fn))
         micros.append(micro)
         macros.append(macro)
     return {

@@ -97,10 +97,9 @@ def backward(params, activations, output_grad):
     return grads, delta
 
 
-def finite_difference_grad(loss_fn, params, epsilon=1e-5):
-    """Central-difference gradient of loss_fn(params), one entry at a time."""
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+def finite_difference_grad(loss_fn, params):
+    """Central-difference gradient of loss_fn(params), one entry at a time, with step 1e-5."""
+    epsilon = 1e-5
     work = clone_params(params)
     grads = []
     for layer in work:

@@ -174,7 +174,7 @@ def block_oracle_eval(block_sizes, test_pos, test_neg):
     return evaluate_binary(scores, labels)
 
 
-def check_backward_vs_fd(params, loss_and_grads, epsilon=1e-5):
+def check_backward_vs_fd(params, loss_and_grads):
     """Relative error between backward() gradients and finite differences.
 
     loss_and_grads(params) must return (loss, grads) where grads is the
@@ -182,7 +182,7 @@ def check_backward_vs_fd(params, loss_and_grads, epsilon=1e-5):
     re-evaluates only the loss.
     """
     _, grads = loss_and_grads(params)
-    numeric = finite_difference_grad(lambda p: loss_and_grads(p)[0], params, epsilon=epsilon)
+    numeric = finite_difference_grad(lambda p: loss_and_grads(p)[0], params)
     return grad_rel_error(flatten_param_grads(grads), flatten_param_grads(numeric))
 
 

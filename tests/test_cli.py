@@ -604,18 +604,21 @@ BOM_CASES = {
                    *GRAPH_ARGS],
     "data.csv": ["train", "--data", "data.csv", "--batch-size", "8",
                  "--pretrain-iters", "5", "--train-iters", "2", "--gen-arch", "4"],
+    "run.cfg": ["train", "--synth", "--config", "run.cfg",
+                "--pretrain-iters", "5", "--train-iters", "2", "--gen-arch", "4"],
 }
 
 
 @pytest.mark.parametrize("name", list(BOM_CASES))
 def test_leading_byte_order_mark_gives_the_same_report(capsys, tmp_path, monkeypatch, name):
-    """Excel's "CSV UTF-8" and Notepad start a file with U+FEFF; each loader drops it."""
+    """Excel's "CSV UTF-8" and Notepad start a file with U+FEFF; every text reader drops it."""
     edges = tmp_path / "edges.txt"
     write_clique_edges(edges)
     texts = {
         "edges.txt": edges.read_text(encoding="utf-8"),
         "labels.txt": "".join(f"{i} {int(i >= 6)}\n" for i in range(12)),
         "data.csv": small_csv_text(),
+        "run.cfg": "batch-size = 8\nsynth-n = 200\n",
     }
     reports = []
     for bom in ("", "\ufeff"):

@@ -42,6 +42,15 @@ class TestLoadCsv:
         assert data.n_pos == 1 and data.n_neg == 2
         assert data.features[0, 1] == 2.0
 
+    def test_savetxt_header_is_a_header_not_a_comment(self, tmp_path):
+        """A CSV has no comment lines, so numpy savetxt's '# x,y,label' header names the columns."""
+        f = tmp_path / "d.csv"
+        rows = [[1.0, 2.0, 1.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]]
+        np.savetxt(f, rows, fmt="%g", delimiter=",", header="x,y,label")
+        data = load_csv(f, "label", "1")
+        assert data.n == 3 and data.n_pos == 1
+        assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="no such file"):
             load_csv(tmp_path / "absent.csv", "label", "1")
