@@ -153,8 +153,9 @@ def save_csv(path, data):
     """Write a LabeledDataset in the format load_csv reads back: columns f0, f1, ..., label."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*(f"f{i}" for i in range(data.n_features)), "label"]) + "\n")
-        for row, lab in zip(data.features, data.labels):
-            fh.write(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n")
+        # tolist() gives the Python floats that float() would, so each cell is the same repr
+        for row, lab in zip(np.asarray(data.features, dtype=np.float64), data.labels):
+            fh.write(",".join([repr(v) for v in row.tolist()] + [str(int(lab))]) + "\n")
 
 
 @dataclass(frozen=True)

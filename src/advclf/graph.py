@@ -299,7 +299,7 @@ def sample_pair_batch(train_edges, graph, m, rng):
         raise ConfigError("batch size must be >= 1")
     if not len(train_edges):
         raise DataError("no training edges to sample from")
-    pos = train_edges[rng.integers(0, len(train_edges), size=m)]
+    pos = np.take(train_edges, rng.integers(0, len(train_edges), size=m), axis=0)
     neg = _draw_non_edges(graph, m, rng, distinct=False)
     if len(neg) < m:
         raise TrainingError("negative pair sampling exceeded its rejection budget")
@@ -335,8 +335,8 @@ def init_graph_models(n_nodes, dim, gen_hidden, rng_d, rng_g):
 
 
 def pair_logits(disc, pairs):
-    e_u = disc.embeddings[pairs[:, 0]]
-    e_v = disc.embeddings[pairs[:, 1]]
+    e_u = np.take(disc.embeddings, pairs[:, 0], axis=0)
+    e_v = np.take(disc.embeddings, pairs[:, 1], axis=0)
     return np.einsum("ij,ij->i", e_u, e_v) + disc.bias
 
 
@@ -355,7 +355,8 @@ def generator_pair_weights(gen, pairs):
     graph_generator_step takes the activations, so one forward serves an iteration.
     """
     lo, hi = _canonical(pairs)
-    acts = forward(gen.mlp, np.hstack([gen.embeddings[lo], gen.embeddings[hi]]))
+    emb = gen.embeddings
+    acts = forward(gen.mlp, np.hstack([np.take(emb, lo, axis=0), np.take(emb, hi, axis=0)]))
     return _normalized_weights(acts[-1][:, 0])[0], acts
 
 
@@ -392,7 +393,7 @@ def _graph_disc_update(disc, batch, neg_coeff, eta_d):
     """
     (u_pos, v_pos), (u_neg, v_neg) = batch.pos.T, batch.neg.T
     m = len(u_pos)
-    partners = disc.embeddings[np.concatenate([v_pos, u_pos, v_neg, u_neg])]
+    partners = np.take(disc.embeddings, np.concatenate([v_pos, u_pos, v_neg, u_neg]), axis=0)
     e_v_pos, e_u_pos = partners[:m], partners[m : 2 * m]
     e_v_neg, e_u_neg = np.split(partners[2 * m :], 2)
     loss, c_pos, c_neg = _disc_terms(
@@ -494,21 +495,23 @@ def _fit_predict_logistic(x_train, y_train, x_test):
     """One logistic regression per column of the (n, k) 0/1 y_train, fit in lockstep.
 
     Each head starts from zero and takes 300 full-batch ascent steps at rate
-    0.5. The heads are a (k, d, 1) weight stack and (k, 1) biases, and
-    matmul gives each head the product a lone head would get, so each is fit
-    bit for bit as it would be alone. Returns the (n_test, k) 0/1
-    predictions at probability 0.5 and the fitted [(weights, biases)].
+    0.5. The heads are the rows of a (k, d) weight matrix and a (k, 1) bias
+    column, so a step is two gemms over all heads at once. A single head is
+    fit bit for bit as it would be alone; with two or more, gemm sums each
+    product in another order than a lone head's gemv, so a head's weights
+    may differ from a lone head's in the last bits. Returns the (n_test, k)
+    0/1 predictions at probability 0.5 and the fitted [(weights, biases)].
     """
     n, k = y_train.shape
-    params = [(np.zeros((k, x_train.shape[1], 1)), np.zeros((k, 1)))]
+    params = [(np.zeros((k, x_train.shape[1])), np.zeros((k, 1)))]
     w, b = params[0]
-    targets = y_train.T[:, :, None]
+    targets = y_train.T
     for _ in range(300):
         # backward() for one identity layer per head, without the unused input gradient
-        delta = (targets - sigmoid(x_train @ w + b[:, None])) / n
-        sgd_step(params, [(x_train.T @ delta, delta.sum(axis=1))], 0.5)
-    pred = sigmoid(x_test @ w + b[:, None]) >= 0.5
-    return pred[:, :, 0].T.astype(int), params
+        delta = (targets - sigmoid(w @ x_train.T + b)) / n
+        sgd_step(params, [(delta @ x_train, delta.sum(axis=1, keepdims=True))], 0.5)
+    pred = sigmoid(w @ x_test.T + b) >= 0.5
+    return pred.T.astype(int), params
 
 
 def check_probe_settings(y, n_nodes, train_frac, n_shuffles):
@@ -547,7 +550,8 @@ def node_classification_eval(embeddings, y, train_frac, n_shuffles, seed):
         fit = y_vis.sum(axis=0) > 0
         pred = np.zeros((len(hidden), y.shape[1]), dtype=int)
         if fit.any():
-            pred[:, fit] = _fit_predict_logistic(emb[visible], y_vis[:, fit], emb[hidden])[0]
+            x_vis, x_hid = np.take(emb, visible, axis=0), np.take(emb, hidden, axis=0)
+            pred[:, fit] = _fit_predict_logistic(x_vis, y_vis[:, fit], x_hid)[0]
         hit, truth = pred == 1, y[hidden] == 1
         tp = np.count_nonzero(hit & truth, axis=0)
         fp = np.count_nonzero(hit & ~truth, axis=0)
@@ -569,4 +573,4 @@ def save_embeddings_csv(path, embeddings):
     emb = np.asarray(embeddings, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
         for i, row in enumerate(emb):
-            fh.write(",".join([str(i)] + [repr(float(v)) for v in row]) + "\n")
+            fh.write(",".join([str(i)] + [repr(v) for v in row.tolist()]) + "\n")

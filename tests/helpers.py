@@ -336,8 +336,10 @@ def train_graph_add_at(config, graph, train_edges, dim, gen_hidden):
 
 
 # Node-label probes one class at a time, each head fit alone through forward
-# and sgd_step. advclf.graph fits a shuffle's heads in lockstep; its weights,
-# predictions and reports must match these bit for bit.
+# and sgd_step. advclf.graph fits a shuffle's heads in lockstep; its
+# predictions and reports must match these exactly, and its weights bit for
+# bit for one head and to 1e-12 relative for more, whose gemm sums in
+# another order.
 
 
 def fit_logistic_head(x_train, y_col):

@@ -87,6 +87,13 @@ class TestLoadCsv:
         assert np.array_equal(back.features, data.features)
         assert np.array_equal(back.labels, data.labels)
 
+    def test_save_csv_writes_repr_of_float_per_cell(self, tmp_path):
+        x = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -2.0], [1e16, 0.0, -1e-300]])
+        f = tmp_path / "w.csv"
+        save_csv(f, LabeledDataset(x, np.array([1, 0, 1])))
+        rows = [",".join([repr(float(v)) for v in row] + [str(lab)]) for row, lab in zip(x, [1, 0, 1])]
+        assert f.read_bytes() == "".join(line + "\n" for line in ["f0,f1,f2,label", *rows]).encode()
+
 
 NUMBERS = st.one_of(
     st.integers(-10**6, 10**6).map(str),

@@ -913,7 +913,13 @@ def test_node_classification_handles_class_with_no_visible_positives():
 @pytest.mark.parametrize("k", [1, 2, 8])
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
 def test_lockstep_probes_match_lone_heads_bit_for_bit(n, k):
-    """Each head of the lockstep fit has a lone head's weights, bias and predictions, zero-target ones too."""
+    """The lockstep fit predicts as the lone heads do, zero-target heads too.
+
+    A single head has a lone head's weights and bias bit for bit. Two or
+    more heads are fit by gemm, which sums each product in another order
+    than a lone head's gemv, so their weights and biases agree with the
+    lone heads' to within 1e-12 relative; the predictions stay identical.
+    """
     rng = np.random.default_rng(n * 10 + k)
     x_train, x_test = rng.standard_normal((n, 6)), rng.standard_normal((9, 6))
     y_train = (rng.random((n, k)) < 0.4).astype(np.float64)
@@ -922,8 +928,12 @@ def test_lockstep_probes_match_lone_heads_bit_for_bit(n, k):
     heads = [fit_logistic_head(x_train, y_train[:, c]) for c in range(k)]
     want = np.column_stack([predict_logistic_head(head, x_test) for head in heads])
     assert array_bits(pred) == array_bits(want)
+    if k == 1:
+        [[(w_0, b_0)]] = heads
+        assert array_bits(w, b) == array_bits(w_0.T, b_0[None])
     for c, [(w_c, b_c)] in enumerate(heads):
-        assert array_bits(w[c], b[c]) == array_bits(w_c, b_c)
+        np.testing.assert_allclose(w[c], w_c[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b[c], b_c, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n,k,train_frac", [(10, 2, 0.1), (30, 3, 0.5), (200, 8, 0.9)])
@@ -937,6 +947,22 @@ def test_node_classification_matches_per_class_probes(n, k, train_frac):
     y[rng.integers(0, n), 0] = 1.0  # one positive: hidden in most shuffles
     got = node_classification_eval(emb, y, train_frac, n_shuffles=6, seed=4)
     assert got == node_classification_eval_per_class(emb, y, train_frac, n_shuffles=6, seed=4)
+
+
+def test_node_classification_matches_per_class_probes_on_planted_blocks():
+    """Where the embeddings carry the labels, the report still equals the per-class loop's.
+
+    400 nodes in 4 blocks embed as their block's one-hot, padded to d = 8,
+    plus noise, so every head has signal; the random embeddings of the test
+    above score micro-F1 0 to 0.26.
+    """
+    rng = np.random.default_rng(71)
+    block = np.arange(400) % 4
+    y = np.eye(4)[block]
+    emb = np.hstack([y, np.zeros((400, 4))]) + 0.25 * rng.standard_normal((400, 8))
+    got = node_classification_eval(emb, y, 0.5, n_shuffles=3, seed=72)
+    assert got["micro_f1_mean"] >= 0.9
+    assert got == node_classification_eval_per_class(emb, y, 0.5, n_shuffles=3, seed=72)
 
 
 def test_node_classification_validation():
@@ -971,3 +997,10 @@ def test_save_embeddings_csv_round_trip(tmp_path):
         fields = line.split(",")
         assert int(fields[0]) == i
         np.testing.assert_array_equal(np.array([float(v) for v in fields[1:]]), emb[i])
+
+
+def test_save_embeddings_csv_writes_repr_of_float_per_coordinate(tmp_path):
+    emb = np.array([[-0.0, 5e-324, 1e308], [0.1, 3.0, -2.0], [1e16, 0.0, -1e-300]])
+    save_embeddings_csv(tmp_path / "emb.csv", emb)
+    rows = [",".join([str(i)] + [repr(float(v)) for v in row]) for i, row in enumerate(emb)]
+    assert (tmp_path / "emb.csv").read_bytes() == "".join(line + "\n" for line in rows).encode()
