@@ -27,6 +27,13 @@ discriminator (one linear unit) and a generator whose raw sample weight is
 softplus of its one output. Each step updates its model in place and
 returns it with the loss; on a non-finite loss or gradient it raises
 TrainingError before changing anything.
+
+train fits warm-up-only baselines beside the adversarial discriminator in
+its one loop. The discriminators form one stack of nets (advclf.nn), model 0
+adversarial, so each step is one pretrain_step or discriminator_step for
+all of them; the generator, the trace and the checkpoints read model 0.
+Every model draws its batches from its own data and its own stream, by
+index into its class rows, and ends bit for bit where its lone run would.
 """
 
 import math
@@ -145,12 +152,15 @@ def batch_weight_entropy(weights):
 def _disc_terms(s_pos, s_neg, coeff):
     """mean(log D(pos)) + sum(coeff * log(1 - D(neg))) and its gradients in the logits.
 
-    coeff is held constant, so nothing differentiates through the generator.
+    Sums run over the last axis: (m,) logits give one float loss, and a
+    stack's (K, m) logits a list of K. coeff is held constant, so nothing
+    differentiates through the generator.
     """
-    loss = float(np.mean(stable_log_sigmoid(s_pos)) + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg)))
-    if not np.isfinite(loss):
+    loss = np.mean(stable_log_sigmoid(s_pos), axis=-1)
+    loss = loss + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg), axis=-1)
+    if not np.all(np.isfinite(loss)):
         raise TrainingError("non-finite discriminator loss")
-    return loss, (1.0 - sigmoid(s_pos)) / len(s_pos), -coeff * sigmoid(s_neg)
+    return loss.tolist(), (1.0 - sigmoid(s_pos)) / s_pos.shape[-1], -coeff * sigmoid(s_neg)
 
 
 def _gen_terms(t, log1m_d, lam):
@@ -168,20 +178,25 @@ def _gen_terms(t, log1m_d, lam):
 
 
 def _disc_update(params, pos_batch, neg_batch, neg_coeff, eta_d):
-    """One ascent step of _disc_terms through the MLP, in place."""
+    """One ascent step of _disc_terms through the MLP, or through each net of a stack, in place."""
     acts_pos = forward(params, pos_batch)
     acts_neg = forward(params, neg_batch)
-    loss, g_pos, g_neg = _disc_terms(acts_pos[-1][:, 0], acts_neg[-1][:, 0], neg_coeff)
-    grads_pos, _ = backward(params, acts_pos, g_pos[:, None])
-    grads_neg, _ = backward(params, acts_neg, g_neg[:, None])
+    loss, g_pos, g_neg = _disc_terms(acts_pos[-1][..., 0], acts_neg[-1][..., 0], neg_coeff)
+    grads_pos, _ = backward(params, acts_pos, g_pos[..., None])
+    grads_neg, _ = backward(params, acts_neg, g_neg[..., None])
     grads = [(gw_p + gw_n, gb_p + gb_n) for (gw_p, gb_p), (gw_n, gb_n) in zip(grads_pos, grads_neg)]
     return sgd_step(params, grads, eta_d), loss
 
 
+def _uniform_coeff(neg_batch):
+    """1/m for each of the m negatives of a batch, or of each model's batch in a stack."""
+    shape = np.shape(neg_batch)[:-1]
+    return np.full(shape, 1.0 / shape[-1])
+
+
 def pretrain_step(disc, pos_batch, neg_batch, eta_d):
     """Uniformly weighted warm-up update: both terms are plain batch means."""
-    coeff = np.full(len(neg_batch), 1.0 / len(neg_batch))
-    return _disc_update(disc, pos_batch, neg_batch, coeff, eta_d)
+    return _disc_update(disc, pos_batch, neg_batch, _uniform_coeff(neg_batch), eta_d)
 
 
 def discriminator_step(config, disc, pos_batch, neg_batch, weights):
@@ -189,9 +204,14 @@ def discriminator_step(config, disc, pos_batch, neg_batch, weights):
 
     The negative coefficient is gamma * m * w_i with w the batch-normalized
     generator weights, so gamma = 1/m and uniform weights reduce exactly to
-    pretrain_step on the same batches.
+    pretrain_step on the same batches. On a stack of nets the weights apply
+    to model 0 alone, and every other model takes pretrain_step's uniform
+    coefficient: one call steps the adversarial discriminator and its
+    warm-up-only baselines together.
     """
-    coeff = config.gamma * len(neg_batch) * np.asarray(weights, dtype=np.float64)
+    coeff = config.gamma * np.shape(neg_batch)[-2] * np.asarray(weights, dtype=np.float64)
+    if np.ndim(neg_batch) > 2:
+        coeff = np.concatenate([coeff[None], _uniform_coeff(neg_batch[1:])])
     return _disc_update(disc, pos_batch, neg_batch, coeff, config.eta_d)
 
 
@@ -207,26 +227,7 @@ def generator_step(config, disc, gen, acts):
     return sgd_step(gen, grads, -config.eta_g), loss
 
 
-def pretrain_discriminator(config, data, disc, rng):
-    """Run the warm-up loop for config.pretrain_iters uniform batches."""
-    x_pos = data.pos_features()
-    x_neg = data.neg_features()
-    if len(x_pos) == 0 or len(x_neg) == 0:
-        raise DataError("training data must contain both classes")
-    trace = TrainTrace()
-    m = config.batch_size
-    for i in range(config.pretrain_iters):
-        pos = x_pos[rng.integers(0, len(x_pos), size=m)]
-        neg = x_neg[rng.integers(0, len(x_neg), size=m)]
-        try:
-            disc, loss = pretrain_step(disc, pos, neg, config.eta_d)
-        except TrainingError as exc:
-            raise TrainingError(f"pretraining iteration {i}: {exc}") from exc
-        trace.pretrain_d_loss.append(loss)
-    return disc, trace
-
-
-def train(config, data, gen_spec, checkpoint=None):
+def train(config, data, gen_spec, checkpoint=None, baselines=()):
     """Warm-up followed by alternating discriminator/generator updates.
 
     gen_spec holds the generator's hidden-layer widths; the discriminator is
@@ -234,32 +235,59 @@ def train(config, data, gen_spec, checkpoint=None):
     there is no early stopping. All randomness derives from config.seed.
     checkpoint is None or a pair (every, fn): after adversarial iteration i,
     for i a multiple of every, fn(i, disc) goes to trace.checkpoints.
-    Returns (disc, gen, trace).
+
+    Each dataset in baselines fits a warm-up-only baseline in the same loop:
+    all pretrain_iters + train_iters steps are warm-up steps, and it starts
+    from the same weights and batch seed as the adversarial discriminator.
+    It ends exactly where train on a config with those counts would leave it.
+    Returns (disc, gen, trace, [baseline disc per dataset]).
     """
     every, checkpoint_fn = checkpoint or (1, None)
     if every < 1:
         raise ConfigError(f"checkpoint interval must be >= 1, got {every}")
+    fit_sets = (data, *baselines)
+    if any(ds.n_features != data.n_features for ds in fit_sets):
+        raise DataError("every baseline dataset must have the training data's features")
+    # each model's batches are drawn by index into its class rows, never from copies of them
+    class_rows = [(np.flatnonzero(ds.labels == 1), np.flatnonzero(ds.labels == 0)) for ds in fit_sets]
+    if any(len(pos) == 0 or len(neg) == 0 for pos, neg in class_rows):
+        raise DataError("training data must contain both classes")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    rng_init_d = np.random.default_rng(seeds[0])
-    rng_init_g = np.random.default_rng(seeds[1])
-    rng_batches = np.random.default_rng(seeds[2])
-    disc = init_discriminator(data.n_features, rng_init_d)
-    gen = init_generator(data.n_features, gen_spec, rng_init_g)
-    disc, trace = pretrain_discriminator(config, data, disc, rng_batches)
-    x_pos = data.pos_features()
-    x_neg = data.neg_features()
-    m = config.batch_size
-    for i in range(config.train_iters):
-        pos = x_pos[rng_batches.integers(0, len(x_pos), size=m)]
-        neg = x_neg[rng_batches.integers(0, len(x_neg), size=m)]
+    init = init_discriminator(data.n_features, np.random.default_rng(seeds[0]))
+    gen = init_generator(data.n_features, gen_spec, np.random.default_rng(seeds[1]))
+    rngs = [np.random.default_rng(seeds[2]) for _ in fit_sets]
+    k, m = len(fit_sets), config.batch_size
+    stack = [(np.repeat(w[None], k, axis=0), np.repeat(b[None, None], k, axis=0)) for w, b in init]
+    # model j of the stack as a lone net: views, so each step shows in them
+    discs = [[(weight[j], bias[j, 0]) for weight, bias in stack] for j in range(k)]
+    disc = discs[0]
+
+    def draw():
+        """(K, m, d) positive and negative batches: per model, positive then negative indices."""
+        pos = np.empty((k, m, data.n_features))
+        neg = np.empty((k, m, data.n_features))
+        for j, (ds, (pos_rows, neg_rows), rng) in enumerate(zip(fit_sets, class_rows, rngs)):
+            pos[j] = ds.features[pos_rows[rng.integers(0, len(pos_rows), size=m)]]
+            neg[j] = ds.features[neg_rows[rng.integers(0, len(neg_rows), size=m)]]
+        return pos, neg
+
+    trace = TrainTrace()
+    for i in range(config.pretrain_iters):
+        pos, neg = draw()
         try:
-            w, gen_acts = generator_batch_weights(gen, neg)
-            disc, d_loss = discriminator_step(config, disc, pos, neg, w)
+            stack, losses = pretrain_step(stack, pos, neg, config.eta_d)
+        except TrainingError as exc:
+            raise TrainingError(f"pretraining iteration {i}: {exc}") from exc
+        trace.pretrain_d_loss.append(losses[0])
+    for i in range(config.train_iters):
+        pos, neg = draw()
+        try:
+            w, gen_acts = generator_batch_weights(gen, neg[0])
+            stack, losses = discriminator_step(config, stack, pos, neg, w)
             gen, g_loss = generator_step(config, disc, gen, gen_acts)
         except TrainingError as exc:
             raise TrainingError(f"adversarial iteration {i}: {exc}") from exc
-        trace.record(d_loss, g_loss, w)
+        trace.record(losses[0], g_loss, w)
         if checkpoint_fn is not None and (i + 1) % every == 0:
             trace.checkpoints.append(checkpoint_fn(i + 1, disc))
-    return disc, gen, trace
-
+    return disc, gen, trace, discs[1:]

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -44,7 +44,7 @@ from .graph import (
     split_edges,
     train_graph,
 )
-from .metrics import evaluate_binary
+from .metrics import auc_roc, evaluate_binary
 from .theory import TheoryConfig, fixed_point_residual, minimize_generator
 
 # Published benchmark rows for side-by-side orientation. The upstream
@@ -261,16 +261,11 @@ def cmd_train(args):
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
 
     def val_auc_checkpoint(iteration, disc):
-        report = evaluate_binary(predict(disc, val_set.features), val_set.labels)
-        return {"iteration": int(iteration), "val_auc": report.auc}
+        val_auc = auc_roc(predict(disc, val_set.features), val_set.labels)
+        return {"iteration": int(iteration), "val_auc": val_auc}
 
-    adv_disc, _, trace = train(
-        config,
-        train_set,
-        gen_spec=opts["gen_arch"],
-        checkpoint=(opts["eval_every"], val_auc_checkpoint) if opts["eval_every"] else None,
-    )
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
+    # a baseline is the warm-up alone, run for the adversarial run's total step count
     baselines = {
         "pretrain_baseline": train_set,
         "undersample_baseline": undersample_majority(
@@ -280,11 +275,14 @@ def cmd_train(args):
             train_set, np.random.default_rng(resample_seeds[1])
         ),
     }
-    # a baseline is the warm-up alone, run for the adversarial run's total step count
-    warmup_only = replace(config, pretrain_iters=config.pretrain_iters + config.train_iters, train_iters=0)
-    models = {"adversarial": adv_disc}
-    for name, fit_set in baselines.items():
-        models[name], _, _ = train(warmup_only, fit_set, opts["gen_arch"])
+    adv_disc, _, trace, baseline_discs = train(
+        config,
+        train_set,
+        gen_spec=opts["gen_arch"],
+        checkpoint=(opts["eval_every"], val_auc_checkpoint) if opts["eval_every"] else None,
+        baselines=baselines.values(),
+    )
+    models = {"adversarial": adv_disc, **dict(zip(baselines, baseline_discs))}
     evaluations = {}
     for name, disc in models.items():
         evaluations[name] = {

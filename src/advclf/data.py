@@ -41,12 +41,6 @@ class LabeledDataset:
     def n_neg(self):
         return int(np.count_nonzero(self.labels == 0))
 
-    def pos_features(self):
-        return self.features[self.labels == 1]
-
-    def neg_features(self):
-        return self.features[self.labels == 0]
-
 
 def _read_text(path):
     """The text of path, a leading UTF-8 byte-order mark dropped."""

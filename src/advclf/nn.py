@@ -2,13 +2,16 @@
 
 A net is a list of (weight, bias) ndarray pairs, weight (in_dim, out_dim)
 and bias (out_dim,): every layer but the last is followed by a sigmoid, and
-the last is linear. Gradients take the same format, so what backward returns
-is what sgd_step takes. forward and backward return fresh arrays, so
-repeated calls with the same inputs are reproducible bit for bit. sgd_step
-is the one operation that changes a net: it updates its arrays in place,
-after checking every gradient, so a step that raises leaves the net as it
-was. finite_difference_grad is the deliberately slow oracle that backward
-is checked against.
+the last is linear. A stack of K nets of one shape is the same list with a
+leading model axis, weight (K, in_dim, out_dim) and bias (K, 1, out_dim);
+it runs on a (K, n, in_dim) batch, model k on batch[k], and each model's
+results equal its lone run bit for bit. Gradients take the same format, so
+what backward returns is what sgd_step takes. forward and backward return
+fresh arrays, so repeated calls with the same inputs are reproducible bit
+for bit. sgd_step is the one operation that changes a net: it updates its
+arrays in place, after checking every gradient, so a step that raises
+leaves the net as it was. finite_difference_grad is the deliberately slow
+oracle that backward is checked against.
 """
 
 import numpy as np
@@ -60,15 +63,17 @@ def clone_params(params):
 
 
 def forward(params, batch):
-    """Run the net on an (n, in_dim) batch.
+    """Run the net on an (n, in_dim) batch, or a stack of K nets on a (K, n, in_dim) batch.
 
     Returns the list [input, layer_1 output, ..., final output]; the caller
     keeps it around for backward.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    in_dim = params[0][0].shape[0]
-    if batch.ndim != 2 or batch.shape[1] != in_dim:
-        raise ConfigError(f"batch shape {batch.shape} does not match input dim {in_dim}")
+    weight = params[0][0]
+    if (batch.ndim != weight.ndim or batch.shape[-1] != weight.shape[-2]
+            or (weight.ndim > 2 and batch.shape[:-2] != weight.shape[:-2])):
+        stack = f" of a stack of {weight.shape[0]} nets" if weight.ndim > 2 else ""
+        raise ConfigError(f"batch shape {batch.shape} does not match input dim {weight.shape[-2]}{stack}")
     activations = [batch]
     out = batch
     last = len(params) - 1
@@ -92,8 +97,9 @@ def backward(params, activations, output_grad):
         if i < last:
             out = activations[i + 1]
             delta = delta * out * (1.0 - out)
-        grads[i] = (activations[i].T @ delta, delta.sum(axis=0))
-        delta = delta @ params[i][0].T
+        # the last two axes serve a lone net and a stack alike; a stack's bias gradient stays (K, 1, out)
+        grads[i] = (activations[i].swapaxes(-1, -2) @ delta, delta.sum(axis=-2, keepdims=delta.ndim > 2))
+        delta = delta @ params[i][0].swapaxes(-1, -2)
     return grads, delta
 
 

@@ -9,7 +9,17 @@ import numpy as np
 
 import advclf.data
 import advclf.graph
-from advclf.adversarial import TrainTrace, _disc_terms, _gen_terms
+from advclf.adversarial import (
+    TrainTrace,
+    _disc_terms,
+    _gen_terms,
+    discriminator_step,
+    generator_batch_weights,
+    generator_step,
+    init_discriminator,
+    init_generator,
+    pretrain_step,
+)
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
     Graph,
@@ -73,6 +83,48 @@ def array_bits(*arrays):
 def warmup_only(config):
     """The pretraining-only baseline as advclf train runs it: the warm-up for every step of config."""
     return replace(config, pretrain_iters=config.pretrain_iters + config.train_iters, train_iters=0)
+
+
+def train_alone(config, data, gen_spec, checkpoint=None):
+    """advclf's train for one model alone: lone 2-d nets, batches drawn from copies of each class's rows.
+
+    The oracle for each model of train's stack. Returns (disc, gen, trace).
+    """
+    every, checkpoint_fn = checkpoint or (1, None)
+    x_pos = data.features[data.labels == 1]
+    x_neg = data.features[data.labels == 0]
+    seeds = np.random.SeedSequence(config.seed).spawn(3)
+    disc = init_discriminator(data.n_features, np.random.default_rng(seeds[0]))
+    gen = init_generator(data.n_features, gen_spec, np.random.default_rng(seeds[1]))
+    rng = np.random.default_rng(seeds[2])
+    m = config.batch_size
+    trace = TrainTrace()
+    for _ in range(config.pretrain_iters):
+        pos = x_pos[rng.integers(0, len(x_pos), size=m)]
+        neg = x_neg[rng.integers(0, len(x_neg), size=m)]
+        disc, loss = pretrain_step(disc, pos, neg, config.eta_d)
+        trace.pretrain_d_loss.append(loss)
+    for i in range(config.train_iters):
+        pos = x_pos[rng.integers(0, len(x_pos), size=m)]
+        neg = x_neg[rng.integers(0, len(x_neg), size=m)]
+        w, gen_acts = generator_batch_weights(gen, neg)
+        disc, d_loss = discriminator_step(config, disc, pos, neg, w)
+        gen, g_loss = generator_step(config, disc, gen, gen_acts)
+        trace.record(d_loss, g_loss, w)
+        if checkpoint_fn is not None and (i + 1) % every == 0:
+            trace.checkpoints.append(checkpoint_fn(i + 1, disc))
+    return disc, gen, trace
+
+
+def train_four_alone(config, data, gen_spec, baselines, checkpoint=None):
+    """train(..., baselines=baselines) as lone runs: the adversarial one, then each baseline's warm-up."""
+    disc, gen, trace = train_alone(config, data, gen_spec, checkpoint)
+    return disc, gen, trace, [train_alone(warmup_only(config), ds, gen_spec)[0] for ds in baselines]
+
+
+def stack_of(nets):
+    """Nets of one shape as one stack: weights (K, in, out), biases (K, 1, out)."""
+    return [(np.stack([w for w, _ in layer]), np.stack([b[None] for _, b in layer])) for layer in zip(*nets)]
 
 
 def grad_rel_error(analytic, numeric):

@@ -321,7 +321,7 @@ def test_criterion_06_entropy_monotone_in_lambda(_log):
                 batch_size=m, pretrain_iters=100, train_iters=400,
                 eta_g=5.0, lam=lam, seed=seed,
             )
-            _, _, trace = train(config, train_set, ARCH_PRESETS["shallow"])
+            _, _, trace, _ = train(config, train_set, ARCH_PRESETS["shallow"])
             finals.append(trace.weight_entropy[-1])
         medians.append(float(np.median(finals)))
     gap = abs(math.log(m) - medians[-1])
@@ -354,8 +354,8 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
         train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=seed))
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
         config = TrainConfig(seed=seed)
-        adv, _, _ = train(config, train_set, ARCH_PRESETS["shallow"])
-        base, _, _ = train(warmup_only(config), train_set, ARCH_PRESETS["shallow"])
+        adv, _, _, _ = train(config, train_set, ARCH_PRESETS["shallow"])
+        base, _, _, _ = train(warmup_only(config), train_set, ARCH_PRESETS["shallow"])
         auc_adv = evaluate_binary(predict(adv, test_set.features), test_set.labels).auc
         auc_base = evaluate_binary(predict(base, test_set.features), test_set.labels).auc
         wins += auc_adv >= auc_base

@@ -16,11 +16,16 @@ from advclf.adversarial import (
     init_discriminator,
     init_generator,
     predict,
-    pretrain_discriminator,
     pretrain_step,
     train,
 )
-from advclf.data import LabeledDataset, SynthSpec, synth_gaussian_imbalanced
+from advclf.data import (
+    LabeledDataset,
+    SynthSpec,
+    oversample_minority,
+    synth_gaussian_imbalanced,
+    undersample_majority,
+)
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.nn import (
     clone_params,
@@ -32,7 +37,14 @@ from advclf.nn import (
 )
 from advclf.theory import TheoryConfig
 
-from helpers import flatten_param_grads, grad_rel_error, warmup_only
+from helpers import (
+    array_bits,
+    flatten_param_grads,
+    grad_rel_error,
+    stack_of,
+    train_four_alone,
+    warmup_only,
+)
 
 
 def linear_params(w, b):
@@ -347,16 +359,15 @@ def small_data(seed=0, n=400, sep=3.0):
 
 def test_pretrain_requires_both_classes():
     data = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
-    disc = init_discriminator(2, np.random.default_rng(0))
     with pytest.raises(DataError, match="both classes"):
-        pretrain_discriminator(TrainConfig(), data, disc, np.random.default_rng(0))
+        train(TrainConfig(), data, gen_spec=(8,))
 
 
 def test_train_is_deterministic():
     data = small_data()
     cfg = TrainConfig(batch_size=16, pretrain_iters=20, train_iters=15, seed=9)
-    d1, g1, t1 = train(cfg, data, gen_spec=(8,))
-    d2, g2, t2 = train(cfg, data, gen_spec=(8,))
+    d1, g1, t1, _ = train(cfg, data, gen_spec=(8,))
+    d2, g2, t2, _ = train(cfg, data, gen_spec=(8,))
     assert_params_equal(d1, d2)
     assert_params_equal(g1, g2)
     assert t1.d_loss == t2.d_loss
@@ -367,9 +378,9 @@ def test_train_is_deterministic():
 def test_train_zero_iters_matches_pretrain_only_baseline():
     data = small_data(seed=2)
     cfg = TrainConfig(batch_size=16, pretrain_iters=30, train_iters=0, seed=4)
-    disc_adv, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
+    disc_adv, _, trace_adv, _ = train(cfg, data, gen_spec=(64, 32, 32))
     # the generator draws its init from its own stream, so its widths cannot move the discriminator
-    disc_base, _, trace_base = train(warmup_only(cfg), data, gen_spec=(3,))
+    disc_base, _, trace_base, _ = train(warmup_only(cfg), data, gen_spec=(3,))
     assert_params_equal(disc_adv, disc_base)
     assert trace_adv.pretrain_d_loss == trace_base.pretrain_d_loss
 
@@ -377,7 +388,7 @@ def test_train_zero_iters_matches_pretrain_only_baseline():
 def test_train_zero_iters_leaves_generator_at_init():
     data = small_data(seed=3)
     cfg = TrainConfig(batch_size=8, pretrain_iters=5, train_iters=0, seed=21)
-    _, gen, _ = train(cfg, data, gen_spec=(6, 4))
+    _, gen, _, _ = train(cfg, data, gen_spec=(6, 4))
     seeds = np.random.SeedSequence(cfg.seed).spawn(3)
     expected = init_generator(data.n_features, (6, 4), np.random.default_rng(seeds[1]))
     assert_params_equal(gen, expected)
@@ -387,8 +398,8 @@ def test_baseline_pairs_with_adversarial_warmup():
     """The warm-up segment of the baseline replays the adversarial run's warm-up batches."""
     data = small_data(seed=6)
     cfg = TrainConfig(batch_size=16, pretrain_iters=25, train_iters=10, seed=13)
-    _, _, trace_adv = train(cfg, data, gen_spec=(64, 32, 32))
-    _, _, trace_base = train(warmup_only(cfg), data, gen_spec=(64, 32, 32))
+    _, _, trace_adv, _ = train(cfg, data, gen_spec=(64, 32, 32))
+    _, _, trace_base, _ = train(warmup_only(cfg), data, gen_spec=(64, 32, 32))
     assert len(trace_base.pretrain_d_loss) == cfg.pretrain_iters + cfg.train_iters
     assert trace_base.pretrain_d_loss[: cfg.pretrain_iters] == trace_adv.pretrain_d_loss
 
@@ -402,7 +413,7 @@ def test_trace_lengths_and_checkpoints():
         seen.append(iteration)
         return iteration
 
-    _, _, trace = train(cfg, data, (64, 32, 32), checkpoint=(2, snap))
+    _, _, trace, _ = train(cfg, data, (64, 32, 32), checkpoint=(2, snap))
     assert len(trace.pretrain_d_loss) == 7
     assert len(trace.d_loss) == len(trace.g_loss) == 5
     assert len(trace.weight_entropy) == len(trace.weight_min) == len(trace.weight_max) == 5
@@ -416,7 +427,7 @@ def test_trace_entropy_bounds():
     data = small_data(seed=8)
     m = 16
     cfg = TrainConfig(batch_size=m, pretrain_iters=10, train_iters=40, seed=5, lam=0.1)
-    _, _, trace = train(cfg, data, gen_spec=(8,))
+    _, _, trace, _ = train(cfg, data, gen_spec=(8,))
     ent = np.array(trace.weight_entropy)
     assert np.all(ent > 0.0)
     assert np.all(ent <= np.log(m) + 1e-9)
@@ -427,8 +438,7 @@ def test_trace_entropy_bounds():
 def test_pretrain_separates_easy_data():
     data = small_data(seed=7, n=500, sep=6.0)
     cfg = TrainConfig(batch_size=32, pretrain_iters=300, eta_d=0.5, train_iters=0, seed=2)
-    disc = init_discriminator(data.n_features, np.random.default_rng(1))
-    disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
+    disc, _, _, _ = train(cfg, data, gen_spec=(8,))
     acc = float(np.mean((predict(disc, data.features) >= 0.5) == data.labels))
     assert acc >= 0.95
 
@@ -437,8 +447,126 @@ def test_single_pair_sign():
     # one positive at +1, one negative at -1: the logit must order them
     data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([1, 0], dtype=np.int64))
     cfg = TrainConfig(batch_size=2, pretrain_iters=100, eta_d=1.0, train_iters=0, seed=0)
-    disc = init_discriminator(1, np.random.default_rng(0))
-    disc, _ = pretrain_discriminator(cfg, data, disc, np.random.default_rng(cfg.seed))
+    disc, _, _, _ = train(cfg, data, gen_spec=(8,))
     p = predict(disc, data.features)
     assert p[0] > 0.5 > p[1]
     assert (predict(disc, data.features) >= 0.5).tolist() == [True, False]
+
+
+# --- the adversarial run and its baselines as one stack ---
+
+
+def net_bits(params):
+    return array_bits(*(a for layer in params for a in layer))
+
+
+def trace_lists(trace):
+    return (trace.pretrain_d_loss, trace.d_loss, trace.g_loss, trace.weight_entropy,
+            trace.weight_min, trace.weight_max, trace.checkpoints)
+
+
+def baseline_sets(data, seed):
+    """The CLI's three fit sets plus a subsample: four different class counts."""
+    rng = np.random.default_rng(seed)
+    subset = np.sort(rng.choice(data.n, size=data.n // 3, replace=False))
+    return [
+        data,
+        undersample_majority(data, rng),
+        oversample_minority(data, rng),
+        LabeledDataset(data.features[subset], data.labels[subset]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, batch_size, dim, gen_spec, n_baselines",
+    [(41, 16, 2, (8,), 3), (57, 1, 3, (6, 4), 4), (68, 7, 5, (64, 32, 32), 2), (93, 32, 1, (3,), 0)],
+)
+def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_baselines):
+    """Every discriminator of the stack, the generator and the trace equal the separate runs bit for bit."""
+    data = synth_gaussian_imbalanced(
+        SynthSpec(n_total=240, imbalance_ratio=5.0, dim=dim, class_separation=1.5, seed=seed)
+    )
+    baselines = baseline_sets(data, seed)[:n_baselines]
+    cfg = TrainConfig(batch_size=batch_size, pretrain_iters=11, train_iters=17, eta_d=0.3, seed=seed)
+
+    def snap(iteration, disc):
+        return iteration, net_bits(disc)
+
+    disc, gen, trace, base_discs = train(cfg, data, gen_spec, checkpoint=(4, snap), baselines=baselines)
+    o_disc, o_gen, o_trace, o_base = train_four_alone(cfg, data, gen_spec, baselines, checkpoint=(4, snap))
+    assert len(base_discs) == n_baselines
+    for got, want in zip([disc, gen, *base_discs], [o_disc, o_gen, *o_base], strict=True):
+        assert net_bits(got) == net_bits(want)
+    assert trace_lists(trace) == trace_lists(o_trace)
+    assert len(trace.checkpoints) == 4 and len(trace.d_loss) == 17
+
+
+def test_baseline_without_a_class_fails_before_any_step(monkeypatch):
+    data = small_data(seed=4)
+    one_class = LabeledDataset(data.features[data.labels == 0], data.labels[data.labels == 0])
+
+    def no_step(*args):
+        raise AssertionError("a model stepped")
+
+    monkeypatch.setattr(advclf.adversarial, "_disc_update", no_step)
+    with pytest.raises(DataError, match="both classes"):
+        train(TrainConfig(batch_size=8, seed=47), data, (8,), baselines=[data, one_class])
+    narrow = LabeledDataset(data.features[:, :1], data.labels)
+    with pytest.raises(DataError, match="features"):
+        train(TrainConfig(batch_size=8, seed=47), data, (8,), baselines=[narrow])
+
+
+@pytest.mark.parametrize("failing", [0, 2, 3])
+@pytest.mark.parametrize("cause", ["gradient", "loss"])
+@pytest.mark.parametrize("step", ["pretrain", "discriminator"])
+def test_stacked_step_that_raises_leaves_every_model_unchanged(step, cause, failing, monkeypatch):
+    """A non-finite loss or gradient of one model stops the step before any of the four changes."""
+    rng = np.random.default_rng(59)
+    nets = [init_discriminator(2, rng) for _ in range(4)]
+    gen = init_generator(2, (3,), rng)
+    pos = rng.standard_normal((4, 6, 2))
+    neg = rng.standard_normal((4, 6, 2))
+    cfg = TrainConfig(batch_size=6, eta_d=0.1)
+    if cause == "loss":
+        # finite weights whose logit on one negative overflows: log(1 - D) is -inf there
+        nets[failing] = linear_params([[1e308], [0.0]], [0.0])
+        neg[failing, 0] = [10.0, 0.0]
+    else:
+        real_backward = advclf.adversarial.backward
+
+        def backward_with_inf(params, acts, delta):
+            grads, input_grad = real_backward(params, acts, delta)
+            grads[-1][1][failing] = np.inf  # one model's bias, the last array an update would reach
+            return grads, input_grad
+
+        monkeypatch.setattr(advclf.adversarial, "backward", backward_with_inf)
+    stack = stack_of(nets)
+    before = bits(stack)
+    with pytest.raises(TrainingError, match="non-finite"), np.errstate(over="ignore"):
+        if step == "pretrain":
+            pretrain_step(stack, pos, neg, cfg.eta_d)
+        else:
+            discriminator_step(cfg, stack, pos, neg, generator_batch_weights(gen, neg[0])[0])
+    for got, old in zip(bits(stack), before, strict=True):
+        assert np.array_equal(got, old)
+
+
+def test_stacked_steps_match_lone_steps():
+    """pretrain_step and discriminator_step on a stack equal each model's lone step bit for bit."""
+    rng = np.random.default_rng(71)
+    nets = [init_discriminator(3, rng) for _ in range(4)]
+    gen = init_generator(3, (5,), rng)
+    pos = rng.standard_normal((4, 9, 3))
+    neg = rng.standard_normal((4, 9, 3))
+    cfg = TrainConfig(batch_size=9, gamma=0.3, eta_d=0.4)
+    w, _ = generator_batch_weights(gen, neg[0])
+    stack, losses = discriminator_step(cfg, stack_of(nets), pos, neg, w)
+    lone = [discriminator_step(cfg, clone_params(nets[0]), pos[0], neg[0], w)]
+    for net, p, n in zip(nets[1:], pos[1:], neg[1:]):
+        lone.append(pretrain_step(clone_params(net), p, n, cfg.eta_d))
+    assert losses == [loss for _, loss in lone]
+    assert net_bits(stack) == net_bits(stack_of([net for net, _ in lone]))
+    stack, losses = pretrain_step(stack, pos, neg, cfg.eta_d)
+    lone = [pretrain_step(net, p, n, cfg.eta_d) for (net, _), p, n in zip(lone, pos, neg)]
+    assert losses == [loss for _, loss in lone]
+    assert net_bits(stack) == net_bits(stack_of([net for net, _ in lone]))

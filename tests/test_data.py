@@ -245,14 +245,14 @@ class TestSynth:
         data = synth_gaussian_imbalanced(
             SynthSpec(n_total=2000, imbalance_ratio=3.0, class_separation=0.0, seed=1)
         )
-        pos_mean = data.pos_features().mean(axis=0)
-        neg_mean = data.neg_features().mean(axis=0)
+        pos_mean = data.features[data.labels == 1].mean(axis=0)
+        neg_mean = data.features[data.labels == 0].mean(axis=0)
         assert np.abs(pos_mean - neg_mean).max() < 0.2
 
     def test_empirical_means_near_centers(self):
         spec = SynthSpec(n_total=20000, imbalance_ratio=3.0, dim=3, class_separation=4.0, seed=2)
         data = synth_gaussian_imbalanced(spec)
-        pos_mean = data.pos_features().mean(axis=0)
+        pos_mean = data.features[data.labels == 1].mean(axis=0)
         assert abs(pos_mean[0] - 2.0) < 3.0 / np.sqrt(spec.n_minority)
         assert abs(pos_mean[1]) < 3.0 / np.sqrt(spec.n_minority)
 
@@ -292,8 +292,8 @@ class TestResampling:
         assert out.n_neg == data.n_neg
         assert out.n_pos == data.n_neg
         # oversampled rows are copies of original positives
-        pos_rows = {tuple(r) for r in data.pos_features()}
-        assert all(tuple(r) in pos_rows for r in out.pos_features())
+        pos_rows = {tuple(r) for r in data.features[data.labels == 1]}
+        assert all(tuple(r) in pos_rows for r in out.features[out.labels == 1])
 
     def test_single_class_rejected(self):
         data = LabeledDataset(np.ones((5, 2)), np.ones(5, dtype=np.int64))

@@ -16,7 +16,7 @@ from advclf.nn import (
     stable_log_one_minus_sigmoid,
     stable_log_sigmoid,
 )
-from helpers import check_backward_vs_fd, sigmoid_two_branch
+from helpers import check_backward_vs_fd, sigmoid_two_branch, stack_of
 
 
 def tiny_net():
@@ -37,6 +37,40 @@ def test_forward_hand_computed():
 def test_forward_rejects_wrong_input_dim():
     with pytest.raises(ConfigError):
         forward(tiny_net(), np.ones((3, 5)))
+
+
+def test_forward_rejects_a_batch_that_does_not_fit_the_stack():
+    stack = stack_of([tiny_net(), tiny_net()])
+    with pytest.raises(ConfigError, match="input dim 2"):
+        forward(tiny_net(), np.ones((2, 3, 2)))  # a lone net on a stacked batch
+    with pytest.raises(ConfigError, match="stack of 2"):
+        forward(stack, np.ones((3, 2)))
+    with pytest.raises(ConfigError, match="stack of 2"):
+        forward(stack, np.ones((3, 4, 2)))
+
+
+@pytest.mark.parametrize("dims, rows", [((3, 1), 1), ((4, 8, 1), 7), ((2, 6, 4, 3), 64), ((16, 1), 64)])
+def test_stacked_net_matches_each_lone_net(dims, rows):
+    """forward and backward on a (K, ...) stack give each net's lone results bit for bit."""
+    rng = np.random.default_rng(83)
+    nets = [init_mlp(dims, rng) for _ in range(4)]
+    for net in nets:
+        for _, bias in net:
+            bias[:] = rng.standard_normal(bias.shape)
+    batches = rng.standard_normal((4, rows, dims[0]))
+    out_grads = rng.standard_normal((4, rows, dims[-1]))
+    stack = stack_of(nets)
+    acts = forward(stack, batches)
+    grads, input_grad = backward(stack, acts, out_grads)
+    for k, net in enumerate(nets):
+        lone_acts = forward(net, batches[k])
+        lone_grads, lone_input_grad = backward(net, lone_acts, out_grads[k])
+        for a, lone in zip(acts, lone_acts, strict=True):
+            assert a[k].tobytes() == lone.tobytes()
+        for (gw, gb), (lone_gw, lone_gb) in zip(grads, lone_grads, strict=True):
+            assert gw.shape[1:] == lone_gw.shape and gb.shape[1:] == (1, *lone_gb.shape)
+            assert gw[k].tobytes() == lone_gw.tobytes() and gb[k].tobytes() == lone_gb.tobytes()
+        assert input_grad[k].tobytes() == lone_input_grad.tobytes()
 
 
 def test_finite_difference_on_quadratic():
