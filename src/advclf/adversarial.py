@@ -32,8 +32,10 @@ train fits warm-up-only baselines beside the adversarial discriminator in
 its one loop. The discriminators form one stack of nets (advclf.nn), model 0
 adversarial, so each step is one pretrain_step or discriminator_step for
 all of them; the generator, the trace and the checkpoints read model 0.
-Every model draws its batches from its own data and its own stream, by
-index into its class rows, and ends bit for bit where its lone run would.
+A baseline is a set of row indices into the training data, so the table is
+held once; every model draws its batches from its own rows and its own
+stream, by index into its class rows, and ends bit for bit where its lone
+run on a copy of those rows would.
 """
 
 import math
@@ -236,27 +238,28 @@ def train(config, data, gen_spec, checkpoint=None, baselines=()):
     checkpoint is None or a pair (every, fn): after adversarial iteration i,
     for i a multiple of every, fn(i, disc) goes to trace.checkpoints.
 
-    Each dataset in baselines fits a warm-up-only baseline in the same loop:
-    all pretrain_iters + train_iters steps are warm-up steps, and it starts
-    from the same weights and batch seed as the adversarial discriminator.
-    It ends exactly where train on a config with those counts would leave it.
-    Returns (disc, gen, trace, [baseline disc per dataset]).
+    Each array in baselines holds row indices into data, as
+    undersample_majority and oversample_minority return them, and fits a
+    warm-up-only baseline on data.features[rows] in the same loop: all
+    pretrain_iters + train_iters steps are warm-up steps, and it starts from
+    the same weights and batch seed as the adversarial discriminator. It
+    ends exactly where train on a config with those counts, given a copy of
+    those rows, would leave it; np.arange(data.n) is the pretraining-only
+    baseline. Returns (disc, gen, trace, [baseline disc per row array]).
     """
     every, checkpoint_fn = checkpoint or (1, None)
     if every < 1:
         raise ConfigError(f"checkpoint interval must be >= 1, got {every}")
-    fit_sets = (data, *baselines)
-    if any(ds.n_features != data.n_features for ds in fit_sets):
-        raise DataError("every baseline dataset must have the training data's features")
-    # each model's batches are drawn by index into its class rows, never from copies of them
-    class_rows = [(np.flatnonzero(ds.labels == 1), np.flatnonzero(ds.labels == 0)) for ds in fit_sets]
+    # each model's batches are drawn by index into its class rows of data, never from copies of them
+    fit_rows = (np.arange(data.n), *baselines)
+    class_rows = [(rows[data.labels[rows] == 1], rows[data.labels[rows] == 0]) for rows in fit_rows]
     if any(len(pos) == 0 or len(neg) == 0 for pos, neg in class_rows):
         raise DataError("training data must contain both classes")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     init = init_discriminator(data.n_features, np.random.default_rng(seeds[0]))
     gen = init_generator(data.n_features, gen_spec, np.random.default_rng(seeds[1]))
-    rngs = [np.random.default_rng(seeds[2]) for _ in fit_sets]
-    k, m = len(fit_sets), config.batch_size
+    rngs = [np.random.default_rng(seeds[2]) for _ in fit_rows]
+    k, m = len(fit_rows), config.batch_size
     stack = [(np.repeat(w[None], k, axis=0), np.repeat(b[None, None], k, axis=0)) for w, b in init]
     # model j of the stack as a lone net: views, so each step shows in them
     discs = [[(weight[j], bias[j, 0]) for weight, bias in stack] for j in range(k)]
@@ -266,9 +269,9 @@ def train(config, data, gen_spec, checkpoint=None, baselines=()):
         """(K, m, d) positive and negative batches: per model, positive then negative indices."""
         pos = np.empty((k, m, data.n_features))
         neg = np.empty((k, m, data.n_features))
-        for j, (ds, (pos_rows, neg_rows), rng) in enumerate(zip(fit_sets, class_rows, rngs)):
-            pos[j] = ds.features[pos_rows[rng.integers(0, len(pos_rows), size=m)]]
-            neg[j] = ds.features[neg_rows[rng.integers(0, len(neg_rows), size=m)]]
+        for j, ((pos_rows, neg_rows), rng) in enumerate(zip(class_rows, rngs)):
+            pos[j] = data.features[pos_rows[rng.integers(0, len(pos_rows), size=m)]]
+            neg[j] = data.features[neg_rows[rng.integers(0, len(neg_rows), size=m)]]
         return pos, neg
 
     trace = TrainTrace()

@@ -24,7 +24,7 @@ from .data import (
     SplitSpec,
     SynthSpec,
     _data_lines,
-    _read_text,
+    _line_blocks,
     load_csv,
     oversample_minority,
     save_csv,
@@ -131,15 +131,19 @@ def load_config_file(path):
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     out = {}
-    for lineno, line in _data_lines(_read_text(path)):
-        stripped = line.strip()
-        if "=" not in stripped:
-            raise ConfigError(f"{path} line {lineno}: expected key=value, got {stripped!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key == "lambda":
-            key = "lam"
-        out[key] = value.strip()
+    try:
+        for start, _, lines in _line_blocks(path):
+            for lineno, line in _data_lines(lines, start):
+                stripped = line.strip()
+                if "=" not in stripped:
+                    raise ConfigError(f"{path} line {lineno}: expected key=value, got {stripped!r}")
+                key, value = stripped.split("=", 1)
+                key = key.strip().replace("-", "_")
+                if key == "lambda":
+                    key = "lam"
+                out[key] = value.strip()
+    except DataError as exc:  # the reader's: a config file that is not UTF-8 is a bad setting
+        raise ConfigError(str(exc)) from None
     return out
 
 
@@ -257,6 +261,7 @@ def cmd_train(args):
     else:
         data = load_csv(opts["data"], opts["label_column"], opts["positive_label"])
     train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=opts["seed"]))
+    del data  # the split holds every row: one copy of the table from here on
     if opts["standardize"]:
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
 
@@ -265,9 +270,9 @@ def cmd_train(args):
         return {"iteration": int(iteration), "val_auc": val_auc}
 
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
-    # a baseline is the warm-up alone, run for the adversarial run's total step count
+    # a baseline is the warm-up alone, run for the adversarial run's total step count on rows of train_set
     baselines = {
-        "pretrain_baseline": train_set,
+        "pretrain_baseline": np.arange(train_set.n),
         "undersample_baseline": undersample_majority(
             train_set, np.random.default_rng(resample_seeds[0])
         ),

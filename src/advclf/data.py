@@ -1,10 +1,13 @@
 """Dataset loading, deterministic splits, standardization, synthetic draws.
 
 Label 1 is always the minority/positive class. Every text input (CSV,
-edge, label and config files) is read by _read_text, UTF-8 with a leading
-byte-order mark dropped; the line-oriented ones drop blank and '#' lines
-through _data_lines. CSV parsing is deliberately strict: comma separated,
-one header row, no quoting support, and no comment lines.
+edge, label and config files) goes through _line_blocks, the one text
+reader: UTF-8 with a leading byte-order mark dropped, read in blocks of
+whole lines so that no file is held in memory whole. The line-oriented
+inputs drop blank and '#' lines through _data_lines. CSV parsing is
+deliberately strict: comma separated, one header row, no quoting support,
+and no comment lines. The resampling baselines are row indices into the
+set they balance, never copies of its rows.
 """
 
 import math
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-12
+READ_BLOCK_CHARS = 1 << 18  # characters per read of a text input
 
 
 @dataclass
@@ -42,17 +46,44 @@ class LabeledDataset:
         return int(np.count_nonzero(self.labels == 0))
 
 
-def _read_text(path):
-    """The text of path, a leading UTF-8 byte-order mark dropped."""
+def _line_blocks(path):
+    """The lines of path in blocks: (number of the block's first line, its text, its lines).
+
+    The file is decoded as UTF-8 with a leading byte-order mark dropped and
+    newlines translated, READ_BLOCK_CHARS characters at a time; each block
+    is cut after its last newline. Every line boundary str.splitlines knows
+    is then one character, so the blocks' lines are exactly the lines of the
+    whole text. A file that is not UTF-8 raises DataError naming it.
+
+    The reader lets go of a block before it reads the next, so a caller
+    that drops its own references to a block's text and lines at the end
+    of its loop body holds one block at a time, not two.
+    """
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    return path.read_text(encoding="utf-8-sig")
+    start, pending = 1, ""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            while chunk := fh.read(READ_BLOCK_CHARS):
+                cut = chunk.rfind("\n") + 1
+                if not cut:
+                    pending += chunk
+                    continue
+                text, pending = pending + chunk[:cut], chunk[cut:]
+                lines = text.splitlines()
+                yield start, text, lines
+                start += len(lines)
+                del text, lines
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if pending:
+        yield start, pending, pending.splitlines()
 
 
-def _data_lines(text):
-    """(lineno, line) for each line of text that is not blank and does not start with '#'."""
+def _data_lines(lines, start):
+    """(lineno, line) for each line that is not blank and does not start with '#'; lines[0] is line start."""
     numbered = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start):
         stripped = line.lstrip()
         if stripped and stripped[0] != "#":
             numbered.append((lineno, line))
@@ -64,26 +95,32 @@ def load_csv(path, label_column, positive_label):
 
     Every non-label cell must be a finite number as Python's float() reads
     it; parse errors name the file line and the offending column. numpy's C
-    reader parses the data lines; where it or a check rejects them, the
-    per-cell parse runs instead, so every file loads or fails as that parse
-    alone would have it. A single-class file loads with a warning since it is
-    usable for evaluation only.
+    reader parses each block of data lines; where it or a check rejects a
+    block, the per-cell parse runs on that block instead, so every file
+    loads or fails as that parse alone would have it. A single-class file
+    loads with a warning since it is usable for evaluation only.
     """
     path = Path(path)
-    numbered = enumerate(_read_text(path).splitlines(), start=1)
-    rows = [(lineno, line) for lineno, line in numbered if line.strip()]
-    if not rows:
+    header = None
+    parts = []
+    for start, text, lines in _line_blocks(path):
+        rows = [(lineno, line) for lineno, line in enumerate(lines, start) if line.strip()]
+        if header is None and rows:
+            header = [h.strip() for h in rows.pop(0)[1].split(",")]
+            if label_column not in header:
+                raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+            label_idx = header.index(label_column)
+        if rows:
+            cells = _csv_cells([line for _, line in rows], len(header), label_idx, positive_label)
+            if cells is None:
+                cells = _csv_cells_exact(path, header, label_idx, positive_label, rows)
+            parts.append(cells)
+        del text, lines, rows  # before the next block is read
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0][1].split(",")]
-    if label_column not in header:
-        raise DataError(f"{path}: no column named {label_column!r} in header {header}")
-    label_idx = header.index(label_column)
-    if len(rows) == 1:
+    if not parts:
         raise DataError(f"{path}: no data rows")
-    parsed = _csv_cells([line for _, line in rows[1:]], len(header), label_idx, positive_label)
-    if parsed is None:
-        parsed = _csv_cells_exact(path, header, label_idx, positive_label, rows[1:])
-    features, labels = parsed
+    features, labels = (np.concatenate(part) for part in zip(*parts))
     if labels.min() == labels.max():
         warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
     return LabeledDataset(features, labels)
@@ -201,8 +238,12 @@ def standardize(train, *others):
         raise DataError("cannot standardize an empty training set")
     mean = train.features.mean(axis=0)
     std = np.maximum(train.features.std(axis=0), STD_FLOOR)
-    out = tuple(LabeledDataset((ds.features - mean) / std, ds.labels) for ds in (train, *others))
-    return out, mean, std
+    out = []
+    for ds in (train, *others):
+        x = ds.features - mean
+        x /= std  # in place: no (x - mean) temporary beside the result
+        out.append(LabeledDataset(x, ds.labels))
+    return tuple(out), mean, std
 
 
 @dataclass(frozen=True)
@@ -257,22 +298,27 @@ def synth_gaussian_imbalanced(spec):
 
 
 def undersample_majority(data, rng):
-    """Balance by dropping random majority samples (without replacement)."""
+    """Rows of data that balance it by dropping random majority samples (without replacement).
+
+    Returns the row indices, positives first: data.features[rows] is the
+    balanced set.
+    """
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("resampling needs both classes")
     keep_neg = rng.choice(neg, size=min(len(pos), len(neg)), replace=False)
-    idx = np.concatenate([pos, keep_neg])
-    return LabeledDataset(data.features[idx], data.labels[idx])
+    return np.concatenate([pos, keep_neg])
 
 
 def oversample_minority(data, rng):
-    """Balance by repeating random minority samples (with replacement)."""
+    """Rows of data that balance it by repeating random minority samples (with replacement).
+
+    Returns the row indices: the positives, the repeats, then the negatives.
+    """
     pos = np.flatnonzero(data.labels == 1)
     neg = np.flatnonzero(data.labels == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("resampling needs both classes")
     extra = rng.choice(pos, size=max(len(neg) - len(pos), 0), replace=True)
-    idx = np.concatenate([pos, extra, neg])
-    return LabeledDataset(data.features[idx], data.labels[idx])
+    return np.concatenate([pos, extra, neg])

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weights
-from .data import _data_lines, _read_text
+from .data import _data_lines, _line_blocks
 from .errors import ConfigError, DataError, TrainingError
 from .metrics import evaluate_binary, macro_micro_f1
 from .nn import (
@@ -91,27 +91,25 @@ class Graph:
         return np.column_stack(np.divmod(self.edges, self.n_nodes))
 
 
-def _reader_lines(text):
-    """The lines of text for numpy's reader: its data lines, or [] if it has none.
+def _reader_lines(start, text, lines):
+    """The lines of a block for numpy's reader: its data lines, or [] if it has none.
 
     The reader skips blank lines itself, and its whitespace is str.split()'s
-    within a line, so only a text that holds a '#' needs _data_lines' filter.
+    within a line, so only a block that holds a '#' needs _data_lines' filter.
     """
     if "#" in text:
-        return [line for _, line in _data_lines(text)]
-    return [] if text.isspace() else text.splitlines()
+        return [line for _, line in _data_lines(lines, start)]
+    return [] if text.isspace() else lines
 
 
 def _id_pairs(lines):
     """The lines as a (k, 2) int64 array of nonnegative ids through numpy's C reader, or None.
 
     The reader takes int()'s grammar less underscores and non-ASCII digits,
-    and no id beyond int64. None when there is no line or the reader rejects
-    one, or a line does not hold exactly two ids or holds a negative one;
-    the per-token parse then names the line.
+    and no id beyond int64. None when the reader rejects a line, or a line
+    does not hold exactly two ids or holds a negative one; the per-token
+    parse then names the line.
     """
-    if not lines:
-        return None
     try:
         pairs = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
@@ -121,20 +119,38 @@ def _id_pairs(lines):
     return pairs
 
 
+def _id_pair_blocks(path, exact, accept=lambda pairs: True):
+    """The (k, 2) id pairs of the data lines of path, block by block, or None if it has none.
+
+    numpy's C reader parses a block where it and accept take its pairs;
+    any other block goes to exact(path, its numbered data lines), which
+    names the first bad line or returns the block's pairs as Python ints.
+    """
+    parts = []
+    for start, text, lines in _line_blocks(path):
+        data = _reader_lines(start, text, lines)
+        if data:
+            pairs = _id_pairs(data)
+            if pairs is None or not accept(pairs):
+                pairs = exact(path, _data_lines(lines, start))
+            parts.append(pairs)
+        del text, lines, data  # before the next block is read
+    return np.concatenate(parts) if parts else None
+
+
 def load_edge_list(path):
     """Whitespace-separated integer pairs, one per line; '#' starts a comment line.
 
     A node id is what Python's int() reads. Duplicate edges in either order
     collapse; self-loops, negative ids and non-integer tokens are errors
-    naming the line. numpy's C reader parses the lines; where it or a check
-    rejects them, the per-token parse runs instead, so every file loads or
-    fails as that parse alone would have it.
+    naming the line. numpy's C reader parses each block of lines; where it
+    or a check rejects a block, the per-token parse runs on that block
+    instead, so every file loads or fails as that parse alone would have it.
     """
     path = Path(path)
-    text = _read_text(path)
-    pairs = _id_pairs(_reader_lines(text))
-    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any():
-        pairs = _edge_pairs_exact(path, _data_lines(text))
+    pairs = _id_pair_blocks(path, _edge_pairs_exact, lambda pairs: (pairs[:, 0] != pairs[:, 1]).all())
+    if pairs is None:
+        raise DataError(f"{path}: no edges")
     # int() first: an id at the int64 limit must not wrap when one is added
     return Graph(n_nodes=int(pairs.max()) + 1, edges=pairs)
 
@@ -144,10 +160,8 @@ def _edge_pairs_exact(path, numbered):
 
     The array holds Python ints, so an id beyond int64 reaches Graph, which
     names it. Raises DataError at the first line that is not two distinct
-    nonnegative ids, or if there is no line.
+    nonnegative ids.
     """
-    if not numbered:
-        raise DataError(f"{path}: no edges")
     edges = []
     for lineno, line in numbered:
         tokens = line.split()
@@ -171,14 +185,15 @@ def load_node_labels(path, n_nodes):
     Row i holds node i's labels and column j the j-th smallest of the label
     ids that occur, so an id no node carries adds no class; a label given
     twice for a node, on one line or on two, sets one cell. numpy's C reader
-    parses a file whose every line holds one label; any other file, or one
-    the reader or a check rejects, takes the per-token parse, so every file
-    loads or fails as that parse alone would have it.
+    parses each block of lines whose every line holds one label; any other
+    block, or one the reader or a check rejects, takes the per-token parse,
+    so every file loads or fails as that parse alone would have it.
     """
     path = Path(path)
-    text = _read_text(path)
-    pairs = _id_pairs(_reader_lines(text))
-    nodes, labels = _label_ids_exact(path, _data_lines(text)) if pairs is None else pairs.T
+    pairs = _id_pair_blocks(path, _label_ids_exact)
+    if pairs is None:
+        raise DataError(f"{path}: no label lines")
+    nodes, labels = pairs.T
     top = nodes.max()
     if top >= n_nodes:
         raise DataError(f"{path}: node id {top} exceeds node count {n_nodes}")
@@ -190,13 +205,13 @@ def load_node_labels(path, n_nodes):
 
 
 def _label_ids_exact(path, numbered):
-    """(nodes, labels) of the (lineno, line) data lines, token by token with int(), as object arrays.
+    """The (node, label) pairs of the (lineno, line) data lines, token by token with int().
 
-    A line of a node and j labels gives j (node, label) entries. Raises
-    DataError at the first line that is not a node id plus at least one
-    label id, all nonnegative, or if there is no line.
+    They come as a (k, 2) object array of Python ints; a line of a node and
+    j labels gives j pairs. Raises DataError at the first line that is not
+    a node id plus at least one label id, all nonnegative.
     """
-    nodes, labels = [], []
+    pairs = []
     for lineno, line in numbered:
         tokens = line.split()
         if len(tokens) < 2:
@@ -207,11 +222,8 @@ def _label_ids_exact(path, numbered):
             raise DataError(f"{path} line {lineno}: non-integer token") from None
         if min(values) < 0:
             raise DataError(f"{path} line {lineno}: negative id")
-        nodes += [values[0]] * (len(values) - 1)
-        labels += values[1:]
-    if not nodes:
-        raise DataError(f"{path}: no label lines")
-    return np.array(nodes, dtype=object), np.array(labels, dtype=object)
+        pairs += [(values[0], label) for label in values[1:]]
+    return np.array(pairs, dtype=object)
 
 
 # the rejection samplers give up after this many tries per pair asked for

@@ -20,6 +20,7 @@ from advclf.adversarial import (
     init_generator,
     pretrain_step,
 )
+from advclf.data import LabeledDataset
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
     Graph,
@@ -62,6 +63,11 @@ def c_reader_only():
             mock.patch.object(advclf.graph, "_edge_pairs_exact", fallback), \
             mock.patch.object(advclf.graph, "_label_ids_exact", fallback):
         yield
+
+
+def read_blocks_of(chars):
+    """Within the block, every text reader reads chars characters at a time."""
+    return mock.patch.object(advclf.data, "READ_BLOCK_CHARS", chars)
 
 
 def load_outcome(load, summarize):
@@ -117,9 +123,13 @@ def train_alone(config, data, gen_spec, checkpoint=None):
 
 
 def train_four_alone(config, data, gen_spec, baselines, checkpoint=None):
-    """train(..., baselines=baselines) as lone runs: the adversarial one, then each baseline's warm-up."""
+    """train(..., baselines=baselines) as lone runs: the adversarial one, then each baseline's warm-up.
+
+    Each baseline's row indices are materialised as a copy of those rows of data.
+    """
     disc, gen, trace = train_alone(config, data, gen_spec, checkpoint)
-    return disc, gen, trace, [train_alone(warmup_only(config), ds, gen_spec)[0] for ds in baselines]
+    copies = [LabeledDataset(data.features[rows], data.labels[rows]) for rows in baselines]
+    return disc, gen, trace, [train_alone(warmup_only(config), ds, gen_spec)[0] for ds in copies]
 
 
 def stack_of(nets):

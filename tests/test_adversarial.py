@@ -465,15 +465,14 @@ def trace_lists(trace):
             trace.weight_min, trace.weight_max, trace.checkpoints)
 
 
-def baseline_sets(data, seed):
-    """The CLI's three fit sets plus a subsample: four different class counts."""
+def baseline_rows(data, seed):
+    """The CLI's three baselines' row indices plus a subsample: four different class counts."""
     rng = np.random.default_rng(seed)
-    subset = np.sort(rng.choice(data.n, size=data.n // 3, replace=False))
     return [
-        data,
+        np.arange(data.n),
         undersample_majority(data, rng),
         oversample_minority(data, rng),
-        LabeledDataset(data.features[subset], data.labels[subset]),
+        np.sort(rng.choice(data.n, size=data.n // 3, replace=False)),
     ]
 
 
@@ -486,7 +485,7 @@ def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_base
     data = synth_gaussian_imbalanced(
         SynthSpec(n_total=240, imbalance_ratio=5.0, dim=dim, class_separation=1.5, seed=seed)
     )
-    baselines = baseline_sets(data, seed)[:n_baselines]
+    baselines = baseline_rows(data, seed)[:n_baselines]
     cfg = TrainConfig(batch_size=batch_size, pretrain_iters=11, train_iters=17, eta_d=0.3, seed=seed)
 
     def snap(iteration, disc):
@@ -503,17 +502,14 @@ def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_base
 
 def test_baseline_without_a_class_fails_before_any_step(monkeypatch):
     data = small_data(seed=4)
-    one_class = LabeledDataset(data.features[data.labels == 0], data.labels[data.labels == 0])
+    one_class = np.flatnonzero(data.labels == 0)
 
     def no_step(*args):
         raise AssertionError("a model stepped")
 
     monkeypatch.setattr(advclf.adversarial, "_disc_update", no_step)
     with pytest.raises(DataError, match="both classes"):
-        train(TrainConfig(batch_size=8, seed=47), data, (8,), baselines=[data, one_class])
-    narrow = LabeledDataset(data.features[:, :1], data.labels)
-    with pytest.raises(DataError, match="features"):
-        train(TrainConfig(batch_size=8, seed=47), data, (8,), baselines=[narrow])
+        train(TrainConfig(batch_size=8, seed=47), data, (8,), baselines=[np.arange(data.n), one_class])
 
 
 @pytest.mark.parametrize("failing", [0, 2, 3])

@@ -609,17 +609,22 @@ BOM_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(BOM_CASES))
-def test_leading_byte_order_mark_gives_the_same_report(capsys, tmp_path, monkeypatch, name):
-    """Excel's "CSV UTF-8" and Notepad start a file with U+FEFF; every text reader drops it."""
+def bom_case_texts(tmp_path):
+    """The text of each file BOM_CASES reads."""
     edges = tmp_path / "edges.txt"
     write_clique_edges(edges)
-    texts = {
+    return {
         "edges.txt": edges.read_text(encoding="utf-8"),
         "labels.txt": "".join(f"{i} {int(i >= 6)}\n" for i in range(12)),
         "data.csv": small_csv_text(),
         "run.cfg": "batch-size = 8\nsynth-n = 200\n",
     }
+
+
+@pytest.mark.parametrize("name", list(BOM_CASES))
+def test_leading_byte_order_mark_gives_the_same_report(capsys, tmp_path, monkeypatch, name):
+    """Excel's "CSV UTF-8" and Notepad start a file with U+FEFF; every text reader drops it."""
+    texts = bom_case_texts(tmp_path)
     reports = []
     for bom in ("", "\ufeff"):
         run_dir = tmp_path / f"run{len(reports)}"
@@ -634,6 +639,26 @@ def test_leading_byte_order_mark_gives_the_same_report(capsys, tmp_path, monkeyp
         report.pop("wall_clock_sec")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name,byte", [("data.csv", b"\xe9"), ("edges.txt", b"\xff"),
+                                       ("labels.txt", b"\xe9"), ("run.cfg", b"\xff")])
+def test_input_that_is_not_utf8_is_an_error_naming_the_file(capsys, tmp_path, monkeypatch, name, byte):
+    """A Latin-1 byte midway through a file ends the run with an error line, not a traceback.
+
+    A config file is a setting, so it exits 2; a data file exits 1.
+    """
+    for file_name, text in bom_case_texts(tmp_path).items():
+        raw = text.encode("utf-8")
+        if file_name == name:
+            cut = raw.index(b"\n", len(raw) // 2) + 1
+            raw = raw[:cut] + byte + raw[cut:]
+        (tmp_path / file_name).write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, BOM_CASES[name])
+    assert code == (2 if name == "run.cfg" else 1)
+    assert out == ""
+    assert err.startswith(f"error: {name}: not UTF-8 text (") and err.count("\n") == 1
 
 
 def test_graph_missing_edges_file_exits_1(capsys, tmp_path):

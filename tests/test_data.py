@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from advclf.data import (
     LabeledDataset,
     SplitSpec,
     SynthSpec,
+    _line_blocks,
     load_csv,
     oversample_minority,
     save_csv,
@@ -20,7 +22,7 @@ from advclf.data import (
 )
 from advclf.errors import ConfigError, DataError
 from advclf.metrics import evaluate_binary
-from helpers import array_bits, exact_parse_only, load_outcome
+from helpers import array_bits, exact_parse_only, load_outcome, read_blocks_of
 
 
 def small_dataset(n=10, seed=0, pos_frac=0.5):
@@ -145,16 +147,69 @@ def csv_outcome(path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=csv_texts())
-def test_load_csv_matches_its_cell_by_cell_parse(text):
-    """numpy's reader and the per-cell parse load the same bits or raise the same error and warnings."""
+@given(text=csv_texts(), block=st.integers(1, 16))
+def test_load_csv_matches_its_cell_by_cell_parse(text, block):
+    """numpy's reader and the per-cell parse load the same bits or raise the same error and warnings.
+
+    Read a few characters at a time, the header can sit past the first block
+    and the reader can reject a later block than the first.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         fast = csv_outcome(path)
+        with read_blocks_of(block):
+            blocked = csv_outcome(path)
         with exact_parse_only():
             exact = csv_outcome(path)
-    assert fast == exact
+    assert fast == blocked == exact
+
+
+# every line boundary str.splitlines knows, both newline sequences, and text around them
+LINE_PIECES = ["a", "b2", " ", "\t", "#", "\u00e9", "\u3000",
+               "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(LINE_PIECES), max_size=40), bom=st.booleans(),
+       block=st.integers(1, 64))
+def test_line_blocks_number_the_lines_of_the_whole_text(pieces, bom, block):
+    """The blocks' numbered lines are those of the whole decoded text, whatever the block size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_bytes((("\ufeff" if bom else "") + "".join(pieces)).encode("utf-8"))
+        with read_blocks_of(block):
+            blocks = list(_line_blocks(path))
+        whole = path.read_text(encoding="utf-8-sig")
+    assert [(start + i, line) for start, _, lines in blocks for i, line in enumerate(lines)] == list(
+        enumerate(whole.splitlines(), 1)
+    )
+    assert "".join(text for _, text, _ in blocks) == whole
+    assert all(lines == text.splitlines() for _, text, lines in blocks)
+
+
+def test_load_csv_peak_memory_is_set_by_the_table(tmp_path):
+    """load_csv never holds the whole file's text or lines: its traced peak scales with the table it returns.
+
+    The table is held once and, while its per-block parts are joined, once
+    more; a third table's worth covers the block in hand and numpy's reader.
+    Holding the file's text and its lines at once, as a whole-file read
+    does, comes to about five tables here.
+    """
+    rng = np.random.default_rng(71)
+    n, d = 20_000, 16
+    data = LabeledDataset(rng.standard_normal((n, d)) * rng.uniform(0.5, 20.0, d),
+                          (rng.random(n) < 0.05).astype(np.int64))
+    path = tmp_path / "big.csv"
+    save_csv(path, data)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path, "label", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert array_bits(loaded.features, loaded.labels) == array_bits(data.features, data.labels)
+    assert peak < 3 * (data.features.nbytes + data.labels.nbytes)
 
 
 class TestSplit:
@@ -282,18 +337,22 @@ class TestSynth:
 class TestResampling:
     def test_undersample_balances(self):
         data = small_dataset(n=40, seed=1, pos_frac=0.2)
-        out = undersample_majority(data, np.random.default_rng(0))
-        assert out.n_pos == data.n_pos
-        assert out.n_neg == data.n_pos
+        rows = undersample_majority(data, np.random.default_rng(0))
+        pos, neg = np.flatnonzero(data.labels == 1), np.flatnonzero(data.labels == 0)
+        # every positive once, then distinct negatives: as many as there are positives
+        assert rows[: len(pos)].tolist() == pos.tolist()
+        kept = rows[len(pos):]
+        assert len(kept) == len(pos) and len(set(kept.tolist())) == len(kept)
+        assert set(kept.tolist()) <= set(neg.tolist())
 
     def test_oversample_balances(self):
         data = small_dataset(n=40, seed=2, pos_frac=0.2)
-        out = oversample_minority(data, np.random.default_rng(0))
-        assert out.n_neg == data.n_neg
-        assert out.n_pos == data.n_neg
-        # oversampled rows are copies of original positives
-        pos_rows = {tuple(r) for r in data.features[data.labels == 1]}
-        assert all(tuple(r) in pos_rows for r in out.features[out.labels == 1])
+        rows = oversample_minority(data, np.random.default_rng(0))
+        pos, neg = np.flatnonzero(data.labels == 1), np.flatnonzero(data.labels == 0)
+        # every positive, repeats of positives up to the negative count, then every negative
+        assert rows[: len(pos)].tolist() == pos.tolist()
+        assert rows[len(neg):].tolist() == neg.tolist()
+        assert set(rows[: len(neg)].tolist()) == set(pos.tolist())
 
     def test_single_class_rejected(self):
         data = LabeledDataset(np.ones((5, 2)), np.ones(5, dtype=np.int64))

@@ -49,6 +49,7 @@ from helpers import (
     node_classification_eval_per_class,
     pair_set,
     predict_logistic_head,
+    read_blocks_of,
     sample_non_edges_loop,
     sample_pair_batch_loop,
     sbm_graph,
@@ -233,16 +234,21 @@ def edges_outcome(path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=edge_texts())
-def test_load_edge_list_matches_its_token_by_token_parse(text):
-    """numpy's reader and the per-token parse load the same graph or raise the same error and warnings."""
+@given(text=edge_texts(), block=st.integers(1, 16))
+def test_load_edge_list_matches_its_token_by_token_parse(text, block):
+    """numpy's reader and the per-token parse load the same graph or raise the same error and warnings.
+
+    Read a few characters at a time, the reader takes some blocks and rejects others.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "e.txt"
         path.write_bytes(text.encode("utf-8"))
         fast = edges_outcome(path)
+        with read_blocks_of(block):
+            blocked = edges_outcome(path)
         with exact_parse_only():
             exact = edges_outcome(path)
-    assert fast == exact
+    assert fast == blocked == exact
 
 
 # what int() and numpy's reader each accept or refuse in a label file
@@ -273,9 +279,12 @@ def label_texts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=label_texts())
-def test_load_node_labels_matches_its_token_by_token_parse(case):
-    """numpy's reader and the per-token parse load the same matrix or raise the same error and warnings."""
+@given(case=label_texts(), block=st.integers(1, 16))
+def test_load_node_labels_matches_its_token_by_token_parse(case, block):
+    """numpy's reader and the per-token parse load the same matrix or raise the same error and warnings.
+
+    Read a few characters at a time, the reader takes some blocks and rejects others.
+    """
     text, n_nodes = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "labels.txt"
@@ -285,9 +294,11 @@ def test_load_node_labels_matches_its_token_by_token_parse(case):
             return load_outcome(lambda: load_node_labels(path, n_nodes), array_bits)
 
         fast = outcome()
+        with read_blocks_of(block):
+            blocked = outcome()
         with exact_parse_only():
             exact = outcome()
-    assert fast == exact
+    assert fast == blocked == exact
 
 
 def test_graph_node_count_limit_is_the_largest_int64_pair_key():
