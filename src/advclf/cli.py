@@ -85,33 +85,27 @@ def _parse_bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def nonnegative_int(text):
-    # for seeds too: numpy's SeedSequence rejects a negative seed with a bare ValueError
-    value = int(text)
-    if value < 0:
-        raise ConfigError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _bounded(parse, within, what):
+    """A converter: parse(text) if it parses and lies within the bound, else ConfigError naming what."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if within(value):
+                return value
+        raise ConfigError(f"expected {what}, got {text!r}")
+
+    return convert
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ConfigError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def open_fraction(text):
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"expected a number strictly between 0 and 1, got {text!r}")
-    return value
-
-
-def finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
+# for seeds too: numpy's SeedSequence rejects a negative seed with a bare ValueError
+nonnegative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+open_fraction = _bounded(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+finite_float = _bounded(float, math.isfinite, "a finite number")
 
 
 class Option(NamedTuple):
@@ -176,10 +170,13 @@ def _train_config(opts):
 
 
 def _check_out_dirs(opts):
-    """Raise before any data is read, not after the run, if an output file's directory is missing."""
+    """Raise before any data is read, not after the run, for an output path that cannot name a file."""
     for key, path in opts.items():
-        if (key == "out" or key.startswith("out_")) and path and not Path(path).parent.is_dir():
-            raise DataError(f"cannot write {path}: no such directory {Path(path).parent}")
+        if (key == "out" or key.startswith("out_")) and path:
+            if Path(path).is_dir():
+                raise DataError(f"cannot write {path}: it is a directory")
+            if not Path(path).parent.is_dir():
+                raise DataError(f"cannot write {path}: no such directory {Path(path).parent}")
 
 
 def _trace_summary(trace):
@@ -262,6 +259,11 @@ def cmd_train(args):
         data = load_csv(opts["data"], opts["label_column"], opts["positive_label"])
     train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=opts["seed"]))
     del data  # the split holds every row: one copy of the table from here on
+    # a class of 3 rows splits 2/1/0, and an AUC without both classes would fail after the run
+    for part, ds in (("validation", val_set), ("test", test_set)):
+        if not (ds.n_pos and ds.n_neg):
+            raise DataError(f"the {part} part has {ds.n_pos} positive and {ds.n_neg} negative rows; "
+                            "it needs both classes")
     if opts["standardize"]:
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
 
@@ -369,6 +371,8 @@ def cmd_graph(args):
     if opts["labels"]:
         # a bad label file or probe setting fails here, not after training
         node_labels = load_node_labels(opts["labels"], n_nodes=graph.n_nodes)
+        if node_labels.shape[1] < 2:
+            raise DataError(f"{opts['labels']}: one class only; the label probes need at least two")
         check_probe_settings(node_labels, graph.n_nodes, opts["label_train_frac"], opts["label_shuffles"])
     disc, _, trace = train_graph(
         config, graph, train_edges, dim=opts["dim"], gen_hidden=opts["gen_arch"]

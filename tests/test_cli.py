@@ -212,6 +212,25 @@ def test_train_on_csv_written_by_synth(capsys, tmp_path):
     assert report["data"]["n_features"] == 2
 
 
+def test_train_split_part_without_a_class_exits_1_before_training(capsys, monkeypatch):
+    """3 positives split 2/1/0: the test part has none, and its AUC would fail after the whole run."""
+    monkeypatch.setattr("advclf.cli.train", fail_if_called)
+    code, out, err = run_cli(capsys, ["train", "--synth", "--synth-n", "124", "--synth-ir", "40"])
+    assert code == 1
+    assert out == ""
+    assert "error: the test part has 0 positive and 24 negative rows; it needs both classes" in err
+
+
+def test_train_csv_without_a_feature_column_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("advclf.cli.train", fail_if_called)
+    csv = tmp_path / "data.csv"
+    csv.write_text("label\n" + "".join(f"{int(i % 4 == 0)}\n" for i in range(40)))
+    code, out, err = run_cli(capsys, ["train", "--data", str(csv)])
+    assert code == 1
+    assert out == ""
+    assert f"error: {csv}: no feature column besides 'label'" in err
+
+
 # --- config files ---
 
 
@@ -253,6 +272,20 @@ def test_config_file_bad_value(capsys, tmp_path):
     (["train", "--synth", "--config", "eta_d = nan"], "error: config key eta_d: expected a finite number, got 'nan'"),
     (["graph", "--edges", "e.txt", "--config", "gen-arch = 0"],
      "error: config key gen_arch: generator hidden widths must be positive, got '0'"),
+    # text that does not parse gets the message of a value out of range
+    (["synth", "--out", "x.csv", "--seed", "x"], "argument --seed: expected an integer >= 0, got 'x'"),
+    (["graph", "--edges", "e.txt", "--dim", "1.5"], "argument --dim: expected an integer >= 1, got '1.5'"),
+    (["graph", "--edges", "e.txt", "--test-frac", "half"],
+     "argument --test-frac: expected a number strictly between 0 and 1, got 'half'"),
+    (["theory", "--tol", "small"], "argument --tol: expected a finite number, got 'small'"),
+    (["train", "--synth", "--config", "seed = x"],
+     "error: config key seed: expected an integer >= 0, got 'x'"),
+    (["graph", "--edges", "e.txt", "--config", "label-shuffles = many"],
+     "error: config key label_shuffles: expected an integer >= 1, got 'many'"),
+    (["graph", "--edges", "e.txt", "--config", "label-train-frac = most"],
+     "error: config key label_train_frac: expected a number strictly between 0 and 1, got 'most'"),
+    (["train", "--synth", "--config", "eta-g = fast"],
+     "error: config key eta_g: expected a finite number, got 'fast'"),
 ])
 def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, argv, reason):
     """A converter's ConfigError text is the message, from a flag or a config file, with exit 2."""
@@ -373,6 +406,27 @@ def test_missing_output_directory_exits_1_before_data_is_read(capsys, tmp_path, 
     assert code == 1
     assert out == ""
     assert "cannot write missing/out.txt: no such directory missing" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["train", "--data", "data.csv"], "--out-report"),
+    (["train", "--synth"], "--out-trace"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt"], "--out-embeddings"),
+    (["synth"], "--out"),
+    (["theory"], "--out"),
+])
+def test_output_path_that_is_a_directory_exits_1_before_data_is_read(capsys, tmp_path, monkeypatch, argv,
+                                                                    flag):
+    """Its parent exists, but the file cannot be written: found before the run, not after it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    for name in ("load_csv", "load_edge_list", "load_node_labels", "synth_gaussian_imbalanced", "train",
+                 "train_graph", "minimize_generator"):
+        monkeypatch.setattr(f"advclf.cli.{name}", fail_if_called)
+    code, out, err = run_cli(capsys, argv + [flag, "outdir"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot write outdir: it is a directory\n"
 
 
 # --- synth subcommand ---
@@ -558,6 +612,8 @@ def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("option,value,code,message", [
     ("--labels", "absent.txt", 1, "no such file"),
+    ("--labels", "one_class.txt", 1,
+     "error: one_class.txt: one class only; the label probes need at least two"),
     ("--label-train-frac", "1.0", 2,
      "argument --label-train-frac: expected a number strictly between 0 and 1, got '1.0'"),
     ("--label-train-frac", "1.5", 2,
@@ -569,6 +625,7 @@ def test_graph_label_probe_inputs_fail_before_training(capsys, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     write_clique_edges(tmp_path / "edges.txt")
     (tmp_path / "labels.txt").write_text("".join(f"{i} {int(i >= 6)}\n" for i in range(12)))
+    (tmp_path / "one_class.txt").write_text("".join(f"{i} 0\n" for i in range(12)))
     argv = ["graph", "--edges", "edges.txt", "--labels", "labels.txt"] + GRAPH_ARGS + [option, value]
     got, out, err = run_cli(capsys, argv)
     assert got == code
