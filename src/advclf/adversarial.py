@@ -32,10 +32,11 @@ train fits warm-up-only baselines beside the adversarial discriminator in
 its one loop. The discriminators form one stack of nets (advclf.nn), model 0
 adversarial, so each step is one pretrain_step or discriminator_step for
 all of them; the generator, the trace and the checkpoints read model 0.
-A baseline is a set of row indices into the training data, so the table is
-held once; every model draws its batches from its own rows and its own
-stream, by index into its class rows, and ends bit for bit where its lone
-run on a copy of those rows would.
+The adversarial rows and each baseline are row indices into one table, so
+the table is held once; every model draws its batches from its own rows
+and its own stream, by index into its class rows, and ends bit for bit
+where its lone run on a copy of those rows would. A model on the same rows
+as an earlier one shares that model's draws, which its stream would repeat.
 """
 
 import math
@@ -229,7 +230,7 @@ def generator_step(config, disc, gen, acts):
     return sgd_step(gen, grads, -config.eta_g), loss
 
 
-def train(config, data, gen_spec, checkpoint=None, baselines=()):
+def train(config, data, gen_spec, checkpoint=None, baselines=(), rows=None):
     """Warm-up followed by alternating discriminator/generator updates.
 
     gen_spec holds the generator's hidden-layer widths; the discriminator is
@@ -238,28 +239,38 @@ def train(config, data, gen_spec, checkpoint=None, baselines=()):
     checkpoint is None or a pair (every, fn): after adversarial iteration i,
     for i a multiple of every, fn(i, disc) goes to trace.checkpoints.
 
-    Each array in baselines holds row indices into data, as
-    undersample_majority and oversample_minority return them, and fits a
-    warm-up-only baseline on data.features[rows] in the same loop: all
-    pretrain_iters + train_iters steps are warm-up steps, and it starts from
-    the same weights and batch seed as the adversarial discriminator. It
-    ends exactly where train on a config with those counts, given a copy of
-    those rows, would leave it; np.arange(data.n) is the pretraining-only
-    baseline. Returns (disc, gen, trace, [baseline disc per row array]).
+    rows holds the row indices of data the adversarial discriminator fits,
+    all of them by default. Each array in baselines holds row indices into
+    data too, as undersample_majority and oversample_minority return them,
+    and fits a warm-up-only baseline on those rows of data in the same
+    loop: all pretrain_iters + train_iters steps are warm-up steps, and it
+    starts from the same weights and batch seed as the adversarial
+    discriminator. It ends exactly where train on a config with those
+    counts, given a copy of those rows, would leave it; a baseline on the
+    adversarial rows is the pretraining-only baseline. Returns (disc, gen,
+    trace, [baseline disc per row array]).
     """
     every, checkpoint_fn = checkpoint or (1, None)
     if every < 1:
         raise ConfigError(f"checkpoint interval must be >= 1, got {every}")
+    fit_rows = (np.arange(data.n) if rows is None else rows, *baselines)
+    k, m = len(fit_rows), config.batch_size
+    # every model's stream starts from one seed, so a model whose rows equal an earlier model's
+    # would draw that model's batches: it takes them, and its class rows, from the first such model
+    source = [next((i for i in range(j) if np.array_equal(fit_rows[i], fit_rows[j])), j) for j in range(k)]
     # each model's batches are drawn by index into its class rows of data, never from copies of them
-    fit_rows = (np.arange(data.n), *baselines)
-    class_rows = [(rows[data.labels[rows] == 1], rows[data.labels[rows] == 0]) for rows in fit_rows]
+    class_rows = []
+    for j, fit in enumerate(fit_rows):
+        if source[j] < j:
+            class_rows.append(class_rows[source[j]])
+        else:
+            class_rows.append((fit[data.labels[fit] == 1], fit[data.labels[fit] == 0]))
     if any(len(pos) == 0 or len(neg) == 0 for pos, neg in class_rows):
         raise DataError("training data must contain both classes")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     init = init_discriminator(data.n_features, np.random.default_rng(seeds[0]))
     gen = init_generator(data.n_features, gen_spec, np.random.default_rng(seeds[1]))
     rngs = [np.random.default_rng(seeds[2]) for _ in fit_rows]
-    k, m = len(fit_rows), config.batch_size
     stack = [(np.repeat(w[None], k, axis=0), np.repeat(b[None, None], k, axis=0)) for w, b in init]
     # model j of the stack as a lone net: views, so each step shows in them
     discs = [[(weight[j], bias[j, 0]) for weight, bias in stack] for j in range(k)]
@@ -270,6 +281,9 @@ def train(config, data, gen_spec, checkpoint=None, baselines=()):
         pos = np.empty((k, m, data.n_features))
         neg = np.empty((k, m, data.n_features))
         for j, ((pos_rows, neg_rows), rng) in enumerate(zip(class_rows, rngs)):
+            if source[j] < j:
+                pos[j], neg[j] = pos[source[j]], neg[source[j]]
+                continue
             pos[j] = data.features[pos_rows[rng.integers(0, len(pos_rows), size=m)]]
             neg[j] = data.features[neg_rows[rng.integers(0, len(neg_rows), size=m)]]
         return pos, neg

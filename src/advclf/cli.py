@@ -25,11 +25,11 @@ from .data import (
     SynthSpec,
     _data_lines,
     _line_blocks,
+    column_statistics,
     load_csv,
     oversample_minority,
     save_csv,
-    split_dataset,
-    standardize,
+    split_rows,
     synth_gaussian_imbalanced,
     undersample_majority,
 )
@@ -101,9 +101,13 @@ def _bounded(parse, within, what):
     return convert
 
 
+def _int_at_least(low):
+    return _bounded(int, lambda v: v >= low, f"an integer >= {low}")
+
+
 # for seeds too: numpy's SeedSequence rejects a negative seed with a bare ValueError
-nonnegative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
-positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+nonnegative_int = _int_at_least(0)
+positive_int = _int_at_least(1)
 open_fraction = _bounded(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 finite_float = _bounded(float, math.isfinite, "a finite number")
 
@@ -157,8 +161,6 @@ def _resolve(args, table):
                 opts[key] = option.convert(file_values[key])
             except ConfigError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from None
-            except ValueError:
-                raise ConfigError(f"config key {key}: cannot parse {file_values[key]!r}") from None
         else:
             opts[key] = option.default
     return opts
@@ -177,6 +179,11 @@ def _check_out_dirs(opts):
                 raise DataError(f"cannot write {path}: it is a directory")
             if not Path(path).parent.is_dir():
                 raise DataError(f"cannot write {path}: no such directory {Path(path).parent}")
+
+
+def _class_counts(labels):
+    """The positive and negative counts of labels."""
+    return int(np.count_nonzero(labels == 1)), int(np.count_nonzero(labels == 0))
 
 
 def _trace_summary(trace):
@@ -213,13 +220,13 @@ TRAIN_OPTIONS = {
     "positive_label": Option("1"),
     "synth": Option(False, _parse_bool, "train on a generated Gaussian dataset instead of --data",
                     const=True),
-    "synth_n": Option(SynthSpec.n_total, int),
+    "synth_n": Option(SynthSpec.n_total, _int_at_least(3)),
     "synth_ir": Option(SynthSpec.imbalance_ratio, finite_float),
-    "synth_dim": Option(SynthSpec.dim, int),
+    "synth_dim": Option(SynthSpec.dim, positive_int),
     "synth_sep": Option(SynthSpec.class_separation, finite_float),
-    "batch_size": Option(TrainConfig.batch_size, int),
-    "pretrain_iters": Option(TrainConfig.pretrain_iters, int),
-    "train_iters": Option(TrainConfig.train_iters, int),
+    "batch_size": Option(TrainConfig.batch_size, positive_int),
+    "pretrain_iters": Option(TrainConfig.pretrain_iters, nonnegative_int),
+    "train_iters": Option(TrainConfig.train_iters, nonnegative_int),
     "eta_d": Option(TrainConfig.eta_d, finite_float),
     "eta_g": Option(TrainConfig.eta_g, finite_float),
     "gamma": Option(TrainConfig.gamma, finite_float),
@@ -257,45 +264,54 @@ def cmd_train(args):
         data = synth_gaussian_imbalanced(spec)
     else:
         data = load_csv(opts["data"], opts["label_column"], opts["positive_label"])
-    train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=opts["seed"]))
-    del data  # the split holds every row: one copy of the table from here on
+    # one table from here on: the split parts and the baselines are row indices into it
+    train_rows, val_rows, test_rows = split_rows(data.labels, SplitSpec(seed=opts["seed"]))
+    train_labels, val_labels, test_labels = (data.labels[rows] for rows in (train_rows, val_rows, test_rows))
     # a class of 3 rows splits 2/1/0, and an AUC without both classes would fail after the run
-    for part, ds in (("validation", val_set), ("test", test_set)):
-        if not (ds.n_pos and ds.n_neg):
-            raise DataError(f"the {part} part has {ds.n_pos} positive and {ds.n_neg} negative rows; "
+    for part, labels in (("validation", val_labels), ("test", test_labels)):
+        n_pos, n_neg = _class_counts(labels)
+        if not (n_pos and n_neg):
+            raise DataError(f"the {part} part has {n_pos} positive and {n_neg} negative rows; "
                             "it needs both classes")
     if opts["standardize"]:
-        (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
+        # the whole table in place, by the training rows' statistics
+        mean, std = column_statistics(data.features, train_rows)
+        data.features -= mean
+        data.features /= std
+
+    def scores(disc, rows):
+        return predict(disc, data.features[rows])
 
     def val_auc_checkpoint(iteration, disc):
-        val_auc = auc_roc(predict(disc, val_set.features), val_set.labels)
-        return {"iteration": int(iteration), "val_auc": val_auc}
+        return {"iteration": int(iteration), "val_auc": auc_roc(scores(disc, val_rows), val_labels)}
 
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
-    # a baseline is the warm-up alone, run for the adversarial run's total step count on rows of train_set
+    # a baseline is the warm-up alone, run for the adversarial run's total step count on training rows
     baselines = {
-        "pretrain_baseline": np.arange(train_set.n),
-        "undersample_baseline": undersample_majority(
-            train_set, np.random.default_rng(resample_seeds[0])
-        ),
-        "oversample_baseline": oversample_minority(
-            train_set, np.random.default_rng(resample_seeds[1])
-        ),
+        "pretrain_baseline": train_rows,
+        "undersample_baseline": train_rows[
+            undersample_majority(train_labels, np.random.default_rng(resample_seeds[0]))
+        ],
+        "oversample_baseline": train_rows[
+            oversample_minority(train_labels, np.random.default_rng(resample_seeds[1]))
+        ],
     }
     adv_disc, _, trace, baseline_discs = train(
         config,
-        train_set,
+        data,
         gen_spec=opts["gen_arch"],
         checkpoint=(opts["eval_every"], val_auc_checkpoint) if opts["eval_every"] else None,
         baselines=baselines.values(),
+        rows=train_rows,
     )
     models = {"adversarial": adv_disc, **dict(zip(baselines, baseline_discs))}
     evaluations = {}
     for name, disc in models.items():
         evaluations[name] = {
-            "validation": asdict(evaluate_binary(predict(disc, val_set.features), val_set.labels)),
-            "test": asdict(evaluate_binary(predict(disc, test_set.features), test_set.labels)),
+            "validation": asdict(evaluate_binary(scores(disc, val_rows), val_labels)),
+            "test": asdict(evaluate_binary(scores(disc, test_rows), test_labels)),
         }
+    train_pos, train_neg = _class_counts(train_labels)
     report = {
         "config": {
             **asdict(config),
@@ -309,12 +325,12 @@ def cmd_train(args):
             },
         },
         "data": {
-            "n_train": train_set.n,
-            "n_val": val_set.n,
-            "n_test": test_set.n,
-            "n_features": train_set.n_features,
-            "train_pos": train_set.n_pos,
-            "train_neg": train_set.n_neg,
+            "n_train": len(train_rows),
+            "n_val": len(val_rows),
+            "n_test": len(test_rows),
+            "n_features": data.n_features,
+            "train_pos": train_pos,
+            "train_neg": train_neg,
         },
         "models": evaluations,
         "trace_summary": _trace_summary(trace),
@@ -344,9 +360,9 @@ GRAPH_OPTIONS = {
     "labels": Option(help="optional node label file for classification probes"),
     "test_frac": Option(0.1, open_fraction),
     "dim": Option(20, positive_int),
-    "batch_size": Option(1024, int),
-    "pretrain_iters": Option(200, int),
-    "train_iters": Option(500, int),
+    "batch_size": Option(1024, positive_int),
+    "pretrain_iters": Option(200, nonnegative_int),
+    "train_iters": Option(500, nonnegative_int),
     "eta_d": Option(1e-3, finite_float),
     "eta_g": Option(1e-5, finite_float),
     "gamma": Option(1e-3, finite_float),
@@ -411,10 +427,10 @@ def cmd_graph(args):
 
 THEORY_OPTIONS = {
     "seed": Option(0, nonnegative_int),
-    "k": Option(3, int, "number of support points"),
+    "k": Option(3, _int_at_least(2), "number of support points"),
     "lam": Option(TheoryConfig.lam, finite_float, flags=("--lam", "--lambda")),
     "p_plus": Option("uniform", str, "'uniform', 'random' or comma-separated probabilities"),
-    "max_iters": Option(TheoryConfig.max_iters, int),
+    "max_iters": Option(TheoryConfig.max_iters, positive_int),
     "tol": Option(TheoryConfig.tol, finite_float),
     "out": Option(help="write the JSON result here as well as stdout"),
 }
@@ -438,8 +454,6 @@ def _build_p_plus(spec, k, seed):
 
 def cmd_theory(args):
     opts = _resolve(args, THEORY_OPTIONS)
-    if opts["k"] < 2:
-        raise ConfigError("k must be >= 2")
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
     config = TheoryConfig(**{f.name: opts[f.name] for f in fields(TheoryConfig)})
     _check_out_dirs(opts)
@@ -458,9 +472,9 @@ def cmd_theory(args):
 
 SYNTH_OPTIONS = {
     "seed": Option(SynthSpec.seed, nonnegative_int),
-    "n": Option(SynthSpec.n_total, int),
+    "n": Option(SynthSpec.n_total, _int_at_least(3)),
     "ir": Option(SynthSpec.imbalance_ratio, finite_float),
-    "dim": Option(SynthSpec.dim, int),
+    "dim": Option(SynthSpec.dim, positive_int),
     "sep": Option(SynthSpec.class_separation, finite_float),
     "out": Option(),
 }

@@ -6,10 +6,13 @@ reader: UTF-8 with a leading byte-order mark dropped, read in blocks of
 whole lines so that no file is held in memory whole. The line-oriented
 inputs drop blank and '#' lines through _data_lines. CSV parsing is
 deliberately strict: comma separated, one header row, no quoting support,
-and no comment lines. The resampling baselines are row indices into the
-set they balance, never copies of its rows.
+and no comment lines. load_csv writes its rows into one table; the split
+and the resampling baselines are row indices into a table, never copies of
+its rows, and the training statistics gather a block of rows at a time.
 """
 
+import codecs
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +24,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-12
-READ_BLOCK_CHARS = 1 << 18  # characters per read of a text input
+READ_BLOCK_BYTES = 1 << 18  # bytes per read of a text input
+STATS_BLOCK_ROWS = 2048  # rows per block of column_statistics
 
 
 @dataclass
@@ -49,31 +53,36 @@ class LabeledDataset:
 def _line_blocks(path):
     """The lines of path in blocks: (number of the block's first line, its text, its lines).
 
-    The file is decoded as UTF-8 with a leading byte-order mark dropped and
-    newlines translated, READ_BLOCK_CHARS characters at a time; each block
-    is cut after its last newline. Every line boundary str.splitlines knows
-    is then one character, so the blocks' lines are exactly the lines of the
-    whole text. A file that is not UTF-8 raises DataError naming it.
+    The file is read READ_BLOCK_BYTES bytes at a time and decoded as
+    open() in text mode would: UTF-8 with a leading byte-order mark dropped
+    and newlines translated. Each block is cut after its last newline. Every
+    line boundary str.splitlines knows is then one character, so the
+    blocks' lines are exactly the lines of the whole text. A file that is
+    not UTF-8 raises DataError naming it.
 
-    The reader lets go of a block before it reads the next, so a caller
-    that drops its own references to a block's text and lines at the end
-    of its loop body holds one block at a time, not two.
+    The reader lets go of a block's bytes and of the block before it reads
+    the next, so a caller that drops its own references to a block's text
+    and lines at the end of its loop body holds one block at a time, not two.
     """
     if not path.exists():
         raise DataError(f"no such file: {path}")
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
     start, pending = 1, ""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            while chunk := fh.read(READ_BLOCK_CHARS):
+        with open(path, "rb") as fh:
+            while raw := fh.read(READ_BLOCK_BYTES):
+                chunk = pending + decoder.decode(raw)
+                del raw
                 cut = chunk.rfind("\n") + 1
-                if not cut:
-                    pending += chunk
+                text, pending = chunk[:cut], chunk[cut:]
+                del chunk
+                if not text:
                     continue
-                text, pending = pending + chunk[:cut], chunk[cut:]
                 lines = text.splitlines()
                 yield start, text, lines
                 start += len(lines)
                 del text, lines
+            pending += decoder.decode(b"", final=True)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if pending:
@@ -97,12 +106,15 @@ def load_csv(path, label_column, positive_label):
     it; parse errors name the file line and the offending column. numpy's C
     reader parses each block of data lines; where it or a check rejects a
     block, the per-cell parse runs on that block instead, so every file
-    loads or fails as that parse alone would have it. A single-class file
-    loads with a warning since it is usable for evaluation only.
+    loads or fails as that parse alone would have it. A first pass counts
+    the rows, so each block's rows are written into the one table the call
+    returns. A single-class file loads with a warning since it is usable
+    for evaluation only.
     """
     path = Path(path)
+    n_rows = _count_rows(path) - 1  # less the header
     header = None
-    parts = []
+    at = 0
     for start, text, lines in _line_blocks(path):
         rows = [(lineno, line) for lineno, line in enumerate(lines, start) if line.strip()]
         if header is None and rows:
@@ -112,20 +124,34 @@ def load_csv(path, label_column, positive_label):
             if len(header) == 1:
                 raise DataError(f"{path}: no feature column besides {label_column!r}")
             label_idx = header.index(label_column)
+            features = np.empty((n_rows, len(header) - 1))
+            labels = np.empty(n_rows, dtype=np.int64)
         if rows:
             cells = _csv_cells([line for _, line in rows], len(header), label_idx, positive_label)
             if cells is None:
                 cells = _csv_cells_exact(path, header, label_idx, positive_label, rows)
-            parts.append(cells)
+            features[at : at + len(rows)], labels[at : at + len(rows)] = cells
+            at += len(rows)
         del text, lines, rows  # before the next block is read
     if header is None:
         raise DataError(f"{path}: empty file")
-    if not parts:
+    if not at:
         raise DataError(f"{path}: no data rows")
-    features, labels = (np.concatenate(part) for part in zip(*parts))
     if labels.min() == labels.max():
         warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
     return LabeledDataset(features, labels)
+
+
+def _count_rows(path):
+    """The lines of path that are not blank, as far as it reads as text."""
+    count = 0
+    try:
+        for _, text, lines in _line_blocks(path):
+            count += sum(1 for line in lines if line.strip())
+            del text, lines
+    except DataError:
+        pass  # the parsing pass meets the same fault in the same block, after any fault before it
+    return count
 
 
 def _csv_cells(lines, n_cells, label_idx, positive_label):
@@ -206,15 +232,15 @@ def _three_way_counts(n, spec):
     return n_train, n_val, n - n_train - n_val
 
 
-def split_dataset(data, spec):
-    """Disjoint, exhaustive (train, val, test) partition, deterministic in spec.seed.
+def split_rows(labels, spec):
+    """Row indices (train, val, test) of a disjoint, exhaustive partition, deterministic in spec.seed.
 
     Stratified: each class is shuffled and cut separately, so the per-class
     counts track the fractions to within rounding.
     """
     rng = np.random.default_rng(spec.seed)
-    pos = np.flatnonzero(data.labels == 1)
-    neg = np.flatnonzero(data.labels == 0)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     for name, idx in (("positive", pos), ("negative", neg)):
         if len(idx) < 3:
             raise DataError(f"stratified split needs >= 3 {name} samples, have {len(idx)}")
@@ -225,8 +251,41 @@ def split_dataset(data, spec):
         parts[0].append(shuffled[:a])
         parts[1].append(shuffled[a : a + b])
         parts[2].append(shuffled[a + b :])
-    indices = [np.concatenate(p) for p in parts]
-    return tuple(LabeledDataset(data.features[idx], data.labels[idx]) for idx in indices)
+    return tuple(np.concatenate(p) for p in parts)
+
+
+def split_dataset(data, spec):
+    """The (train, val, test) parts of split_rows as datasets: copies of those rows of data."""
+    parts = split_rows(data.labels, spec)
+    return tuple(LabeledDataset(data.features[rows], data.labels[rows]) for rows in parts)
+
+
+def column_statistics(features, rows):
+    """The column means of features[rows] and their std floored at STD_FLOOR, gathering few rows at a time.
+
+    Both are bit for bit numpy's features[rows].mean(axis=0) and
+    .std(axis=0): numpy sums the columns of a C-ordered table of two or more
+    columns one row after another, so a sum carried into the next block of
+    STATS_BLOCK_ROWS rows as its first row is the same sum. A table of one
+    column, or one not C-ordered, is summed in another order; its rows are
+    gathered at once.
+    """
+    if features.shape[1] == 1 or not features.flags.c_contiguous:
+        x = features[rows]
+        return x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR)
+
+    def column_sums(center):
+        total = None
+        for a in range(0, len(rows), STATS_BLOCK_ROWS):
+            block = features[rows[a : a + STATS_BLOCK_ROWS]]
+            if center is not None:  # squared deviations, as numpy's var takes them
+                block -= center
+                block *= block
+            total = np.add.reduce(block if total is None else np.vstack([total[None], block]), axis=0)
+        return total
+
+    mean = column_sums(None) / len(rows)
+    return mean, np.maximum(np.sqrt(column_sums(mean) / len(rows)), STD_FLOOR)
 
 
 def standardize(train, *others):
@@ -234,12 +293,11 @@ def standardize(train, *others):
 
     The std is floored at STD_FLOOR so constant columns map to exact zeros.
     Returns (datasets, mean, std) with the same affine map applied to every
-    dataset passed.
+    dataset passed; the datasets passed are left as they are.
     """
     if train.n == 0:
         raise DataError("cannot standardize an empty training set")
-    mean = train.features.mean(axis=0)
-    std = np.maximum(train.features.std(axis=0), STD_FLOOR)
+    mean, std = column_statistics(train.features, np.arange(train.n))
     out = []
     for ds in (train, *others):
         x = ds.features - mean
@@ -299,27 +357,27 @@ def synth_gaussian_imbalanced(spec):
     return LabeledDataset(features[order], labels[order])
 
 
-def undersample_majority(data, rng):
-    """Rows of data that balance it by dropping random majority samples (without replacement).
+def undersample_majority(labels, rng):
+    """Rows that balance labels by dropping random majority samples (without replacement).
 
-    Returns the row indices, positives first: data.features[rows] is the
-    balanced set.
+    Returns the row indices, positives first: features[rows] is the
+    balanced set of a table with those labels.
     """
-    pos = np.flatnonzero(data.labels == 1)
-    neg = np.flatnonzero(data.labels == 0)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("resampling needs both classes")
     keep_neg = rng.choice(neg, size=min(len(pos), len(neg)), replace=False)
     return np.concatenate([pos, keep_neg])
 
 
-def oversample_minority(data, rng):
-    """Rows of data that balance it by repeating random minority samples (with replacement).
+def oversample_minority(labels, rng):
+    """Rows that balance labels by repeating random minority samples (with replacement).
 
     Returns the row indices: the positives, the repeats, then the negatives.
     """
-    pos = np.flatnonzero(data.labels == 1)
-    neg = np.flatnonzero(data.labels == 0)
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     if len(pos) == 0 or len(neg) == 0:
         raise DataError("resampling needs both classes")
     extra = rng.choice(pos, size=max(len(neg) - len(pos), 0), replace=True)

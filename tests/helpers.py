@@ -65,9 +65,9 @@ def c_reader_only():
         yield
 
 
-def read_blocks_of(chars):
-    """Within the block, every text reader reads chars characters at a time."""
-    return mock.patch.object(advclf.data, "READ_BLOCK_CHARS", chars)
+def read_blocks_of(size):
+    """Within the block, every text reader reads size bytes at a time."""
+    return mock.patch.object(advclf.data, "READ_BLOCK_BYTES", size)
 
 
 def load_outcome(load, summarize):

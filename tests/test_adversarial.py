@@ -470,8 +470,8 @@ def baseline_rows(data, seed):
     rng = np.random.default_rng(seed)
     return [
         np.arange(data.n),
-        undersample_majority(data, rng),
-        oversample_minority(data, rng),
+        undersample_majority(data.labels, rng),
+        oversample_minority(data.labels, rng),
         np.sort(rng.choice(data.n, size=data.n // 3, replace=False)),
     ]
 
@@ -498,6 +498,43 @@ def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_base
         assert net_bits(got) == net_bits(want)
     assert trace_lists(trace) == trace_lists(o_trace)
     assert len(trace.checkpoints) == 4 and len(trace.d_loss) == 17
+
+
+def test_train_on_rows_of_a_table_matches_lone_runs_and_shares_equal_draws(monkeypatch):
+    """Rows of one table, as advclf train passes them, give the lone runs on copies of those rows.
+
+    A baseline on rows equal to the adversarial rows takes model 0's draws:
+    three row sets among four models make six index draws per step, not eight.
+    """
+    table = synth_gaussian_imbalanced(SynthSpec(n_total=300, imbalance_ratio=4.0, dim=3, seed=4099))
+    rng = np.random.default_rng(4099)
+    rows = rng.permutation(table.n)[:180]  # unordered rows of the table, as a split returns them
+    part = LabeledDataset(table.features[rows], table.labels[rows])
+    positions = [np.arange(part.n), undersample_majority(part.labels, rng),
+                 oversample_minority(part.labels, rng)]
+    cfg = TrainConfig(batch_size=8, pretrain_iters=6, train_iters=9, eta_d=0.3, seed=4099)
+    draws = []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def integers(self, *args, **kwargs):
+            draws.append(args)
+            return self.rng.integers(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(advclf.adversarial.np.random, "default_rng", CountingGenerator)
+        baselines = [rows[p] for p in positions]
+        disc, gen, trace, base_discs = train(cfg, table, (5,), baselines=baselines, rows=rows)
+    o_disc, o_gen, o_trace, o_base = train_four_alone(cfg, part, (5,), positions)
+    for got, want in zip([disc, gen, *base_discs], [o_disc, o_gen, *o_base], strict=True):
+        assert net_bits(got) == net_bits(want)
+    assert trace_lists(trace) == trace_lists(o_trace)
+    assert len(draws) == 6 * (cfg.pretrain_iters + cfg.train_iters)
 
 
 def test_baseline_without_a_class_fails_before_any_step(monkeypatch):

@@ -238,7 +238,7 @@ def edges_outcome(path):
 def test_load_edge_list_matches_its_token_by_token_parse(text, block):
     """numpy's reader and the per-token parse load the same graph or raise the same error and warnings.
 
-    Read a few characters at a time, the reader takes some blocks and rejects others.
+    Read a few bytes at a time, the reader takes some blocks and rejects others.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "e.txt"
@@ -283,7 +283,7 @@ def label_texts(draw):
 def test_load_node_labels_matches_its_token_by_token_parse(case, block):
     """numpy's reader and the per-token parse load the same matrix or raise the same error and warnings.
 
-    Read a few characters at a time, the reader takes some blocks and rejects others.
+    Read a few bytes at a time, the reader takes some blocks and rejects others.
     """
     text, n_nodes = case
     with tempfile.TemporaryDirectory() as tmp:
