@@ -197,6 +197,11 @@ def _uniform_coeff(neg_batch):
     return np.full(shape, 1.0 / shape[-1])
 
 
+def _weighted_coeff(config, weights):
+    """The re-weighted negative coefficient gamma * m * w_i, for the m generator weights w of a batch."""
+    return config.gamma * len(weights) * np.asarray(weights, dtype=np.float64)
+
+
 def pretrain_step(disc, pos_batch, neg_batch, eta_d):
     """Uniformly weighted warm-up update: both terms are plain batch means."""
     return _disc_update(disc, pos_batch, neg_batch, _uniform_coeff(neg_batch), eta_d)
@@ -212,7 +217,7 @@ def discriminator_step(config, disc, pos_batch, neg_batch, weights):
     coefficient: one call steps the adversarial discriminator and its
     warm-up-only baselines together.
     """
-    coeff = config.gamma * np.shape(neg_batch)[-2] * np.asarray(weights, dtype=np.float64)
+    coeff = _weighted_coeff(config, weights)
     if np.ndim(neg_batch) > 2:
         coeff = np.concatenate([coeff[None], _uniform_coeff(neg_batch[1:])])
     return _disc_update(disc, pos_batch, neg_batch, coeff, config.eta_d)

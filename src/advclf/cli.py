@@ -58,6 +58,8 @@ REFERENCE_ROWS = {
     "protein_homo": {"accuracy": 0.9969, "auc": 0.9801, "precision": 0.9212, "f1": 0.8043},
 }
 
+REFERENCE_NAMES = ", ".join(sorted(REFERENCE_ROWS))
+
 ARCH_PRESETS = {"shallow": (64, 32, 32), "deep": (10, 8, 8, 6, 6, 6)}
 
 
@@ -120,7 +122,6 @@ class Option(NamedTuple):
     help: str | None = None
     flags: tuple = ()  # flag names, when not the key's own --key-name
     const: object = None  # if set, the flag takes no value and stores this one
-    choices: list | None = None  # checked by argparse for the flag only
 
 
 def load_config_file(path):
@@ -166,9 +167,15 @@ def _resolve(args, table):
     return opts
 
 
-def _train_config(opts):
-    """TrainConfig from its like-named settings; built before any data is read, as it checks them."""
-    return TrainConfig(**{f.name: opts[f.name] for f in fields(TrainConfig)})
+def _config(cls, opts):
+    """cls from its like-named settings; built before any data is read, as it checks them."""
+    return cls(**{f.name: opts[f.name] for f in fields(cls)})
+
+
+def _synth_spec(opts, prefix):
+    """SynthSpec from the settings prefix + n, ir, dim and sep, and seed."""
+    n, ir, dim, sep = (opts[prefix + key] for key in ("n", "ir", "dim", "sep"))
+    return SynthSpec(n_total=n, imbalance_ratio=ir, dim=dim, class_separation=sep, seed=opts["seed"])
 
 
 def _check_out_dirs(opts):
@@ -235,8 +242,8 @@ TRAIN_OPTIONS = {
                        "'shallow', 'deep' or comma-separated hidden widths"),
     "standardize": Option(True, _parse_bool, flags=("--no-standardize",), const=False),
     "eval_every": Option(0, nonnegative_int, "validation AUC checkpoint interval"),
-    "reference": Option(help="print a published benchmark row next to this run",
-                        choices=sorted(REFERENCE_ROWS)),
+    "reference": Option(None, _bounded(str, REFERENCE_ROWS.__contains__, "one of " + REFERENCE_NAMES),
+                        "print a published benchmark row next to this run: one of " + REFERENCE_NAMES),
     "out_report": Option(help="write the JSON report here as well as stdout"),
     "out_trace": Option(help="write per-iteration losses as CSV"),
 }
@@ -246,22 +253,11 @@ def cmd_train(args):
     opts = _resolve(args, TRAIN_OPTIONS)
     if bool(opts["data"]) == bool(opts["synth"]):
         raise ConfigError("provide exactly one of --data or --synth")
-    # argparse's choices cover only the flag, not a config file's value
-    reference = opts["reference"]
-    if reference and reference not in REFERENCE_ROWS:
-        raise ConfigError(f"unknown reference row {reference!r}; choices: {sorted(REFERENCE_ROWS)}")
-    config = _train_config(opts)
+    config = _config(TrainConfig, opts)
     _check_out_dirs(opts)
     started = time.monotonic()
     if opts["synth"]:
-        spec = SynthSpec(
-            n_total=opts["synth_n"],
-            imbalance_ratio=opts["synth_ir"],
-            dim=opts["synth_dim"],
-            class_separation=opts["synth_sep"],
-            seed=opts["seed"],
-        )
-        data = synth_gaussian_imbalanced(spec)
+        data = synth_gaussian_imbalanced(_synth_spec(opts, "synth_"))
     else:
         data = load_csv(opts["data"], opts["label_column"], opts["positive_label"])
     # one table from here on: the split parts and the baselines are row indices into it
@@ -317,11 +313,8 @@ def cmd_train(args):
             **asdict(config),
             **{k: opts[k] for k in ("standardize", "eval_every")},
             "gen_arch": list(opts["gen_arch"]),
-            "source": opts["data"] if opts["data"] else {
-                "synth_n": opts["synth_n"],
-                "synth_ir": opts["synth_ir"],
-                "synth_dim": opts["synth_dim"],
-                "synth_sep": opts["synth_sep"],
+            "source": opts["data"] or {
+                key: opts[key] for key in ("synth_n", "synth_ir", "synth_dim", "synth_sep")
             },
         },
         "data": {
@@ -337,6 +330,7 @@ def cmd_train(args):
         "checkpoints": trace.checkpoints,
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }
+    reference = opts["reference"]
     if reference:
         published = REFERENCE_ROWS[reference]
         ours = evaluations["adversarial"]["test"]
@@ -379,7 +373,7 @@ def cmd_graph(args):
     opts = _resolve(args, GRAPH_OPTIONS)
     if not opts["edges"]:
         raise ConfigError("--edges is required")
-    config = _train_config(opts)
+    config = _config(TrainConfig, opts)
     _check_out_dirs(opts)
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
@@ -447,7 +441,7 @@ def _build_p_plus(spec, k, seed):
         raise ConfigError(f"--p-plus must be 'uniform', 'random' or comma floats, got {spec!r}") from None
     if len(values) != k:
         raise ConfigError(f"--p-plus lists {len(values)} entries but k = {k}")
-    if np.any(values <= 0) or abs(values.sum() - 1.0) > 1e-6:
+    if not (np.all(values > 0) and abs(values.sum() - 1.0) <= 1e-6):
         raise ConfigError("--p-plus entries must be positive and sum to 1")
     return values / values.sum()
 
@@ -455,7 +449,7 @@ def _build_p_plus(spec, k, seed):
 def cmd_theory(args):
     opts = _resolve(args, THEORY_OPTIONS)
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
-    config = TheoryConfig(**{f.name: opts[f.name] for f in fields(TheoryConfig)})
+    config = _config(TheoryConfig, opts)
     _check_out_dirs(opts)
     result = minimize_generator(p_plus, config)
     payload = {
@@ -484,13 +478,7 @@ def cmd_synth(args):
     opts = _resolve(args, SYNTH_OPTIONS)
     if not opts["out"]:
         raise ConfigError("--out is required")
-    spec = SynthSpec(
-        n_total=opts["n"],
-        imbalance_ratio=opts["ir"],
-        dim=opts["dim"],
-        class_separation=opts["sep"],
-        seed=opts["seed"],
-    )
+    spec = _synth_spec(opts, "")
     _check_out_dirs(opts)
     data = synth_gaussian_imbalanced(spec)
     save_csv(opts["out"], data)
@@ -528,7 +516,7 @@ def build_parser():
         sub.add_argument("--config", help="flat key=value settings file")
         for key, option in table.items():
             flags = option.flags or ("--" + key.replace("_", "-"),)
-            kind = {"type": _flag_type(option.convert), "choices": option.choices}
+            kind = {"type": _flag_type(option.convert)}
             if option.const is not None:
                 kind = {"action": "store_const", "const": option.const}
             sub.add_argument(*flags, dest=key, help=option.help, **kind)

@@ -4,8 +4,9 @@ Connected node pairs are the positives, disconnected pairs the negatives.
 The discriminator scores a pair through a dot product of its own embeddings
 plus a scalar bias; the generator weights negative pairs through an MLP over
 the concatenation of its own embeddings, pair order canonicalized to
-(min, max). Training reuses the tabular module's loop shape and score-space
-objective; this module supplies the embedding lookups and scatter-adds.
+(min, max). Training reuses the tabular module's loop shape, score-space
+objective and negative coefficients (1/m in the warm-up, then gamma * m * w_i),
+all from advclf.adversarial; this module supplies the lookups and scatter-adds.
 
 The steps update the models they are given in place and touch only the rows
 a batch names, so a step costs O(batch * dim) at any node count;
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .adversarial import TrainTrace, _disc_terms, _gen_terms, _normalized_weights
+from .adversarial import _uniform_coeff, _weighted_coeff
 from .data import _data_lines, _line_blocks
 from .errors import ConfigError, DataError, TrainingError
 from .metrics import evaluate_binary, macro_micro_f1
@@ -426,8 +428,7 @@ def _graph_disc_update(disc, batch, neg_coeff, eta_d):
 
 def graph_pretrain_step(disc, batch, eta_d):
     """Ascent with uniform negative coefficients 1/m; updates disc in place and returns it."""
-    coeff = np.full(len(batch.neg), 1.0 / len(batch.neg))
-    return _graph_disc_update(disc, batch, coeff, eta_d)
+    return _graph_disc_update(disc, batch, _uniform_coeff(batch.neg), eta_d)
 
 
 def graph_discriminator_step(config, disc, batch, weights):
@@ -435,8 +436,7 @@ def graph_discriminator_step(config, disc, batch, weights):
 
     Updates disc in place and returns it with the loss.
     """
-    coeff = config.gamma * len(batch.neg) * np.asarray(weights, dtype=np.float64)
-    return _graph_disc_update(disc, batch, coeff, config.eta_d)
+    return _graph_disc_update(disc, batch, _weighted_coeff(config, weights), config.eta_d)
 
 
 def graph_generator_step(config, disc, gen, neg_pairs, acts):

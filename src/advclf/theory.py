@@ -41,6 +41,14 @@ def validate_distribution(p):
     return p
 
 
+def _one_support(*dists):
+    """Each argument through validate_distribution; ConfigError unless they share one support."""
+    dists = [validate_distribution(p) for p in dists]
+    if any(p.shape != dists[0].shape for p in dists):
+        raise ConfigError("distributions must share a support")
+    return dists
+
+
 def _xlogy(x, y):
     """x * log(y) with 0 * log(0) = 0; x must be >= 0."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
@@ -52,10 +60,7 @@ def _xlogy(x, y):
 
 def optimal_discriminator(p_plus, p_neg):
     """Pointwise maximizer p_plus / (p_plus + p_neg) of the value function."""
-    p_plus = validate_distribution(p_plus)
-    p_neg = validate_distribution(p_neg)
-    if p_plus.shape != p_neg.shape:
-        raise ConfigError("distributions must share a support")
+    p_plus, p_neg = _one_support(p_plus, p_neg)
     denom = p_plus + p_neg
     if np.any(denom == 0.0):
         raise ConfigError("support point with zero mass under both distributions")
@@ -64,8 +69,7 @@ def optimal_discriminator(p_plus, p_neg):
 
 def value_v(p_plus, p_neg, d):
     """sum(p_plus * log d) + sum(p_neg * log(1 - d)); raises where it would be -inf."""
-    p_plus = validate_distribution(p_plus)
-    p_neg = validate_distribution(p_neg)
+    p_plus, p_neg = _one_support(p_plus, p_neg)
     d = np.asarray(d, dtype=np.float64)
     if d.shape != p_plus.shape:
         raise ConfigError("d must match the support size")
@@ -80,10 +84,7 @@ def value_v(p_plus, p_neg, d):
 
 def generator_objective(p, p_plus, lam):
     """Cost J(p) of the re-weighting distribution at the optimal discriminator."""
-    p = validate_distribution(p)
-    p_plus = validate_distribution(p_plus)
-    if p.shape != p_plus.shape:
-        raise ConfigError("distributions must share a support")
+    p, p_plus = _one_support(p, p_plus)
     if lam < 0:
         raise ConfigError("lam must be >= 0")
     mix = p_plus + p
@@ -96,8 +97,7 @@ def generator_objective(p, p_plus, lam):
 
 def generator_objective_grad(p, p_plus, lam):
     """dJ/dp_i = log(p_i / (p_plus_i + p_i)) + lam * (1 + log p_i); needs p > 0."""
-    p = validate_distribution(p)
-    p_plus = validate_distribution(p_plus)
+    p, p_plus = _one_support(p, p_plus)
     if np.any(p <= 0):
         raise ConfigError("gradient needs strictly positive p")
     return np.log(p / (p_plus + p)) + lam * (1.0 + np.log(p))
@@ -170,10 +170,7 @@ def minimize_generator(p_plus, config):
 
 def fixed_point_residual(p, p_plus, lam):
     """Max-norm gap of normalize(p^(lam+1)) = (p + p_plus) / 2 at the point p."""
-    p = validate_distribution(p)
-    p_plus = validate_distribution(p_plus)
-    if p.shape != p_plus.shape:
-        raise ConfigError("distributions must share a support")
+    p, p_plus = _one_support(p, p_plus)
     if lam < 0:
         raise ConfigError("lam must be >= 0")
     powered = np.power(p, lam + 1.0)

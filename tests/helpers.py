@@ -86,6 +86,21 @@ def array_bits(*arrays):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
+def best_response(log1m_d, lam):
+    """w* proportional to exp(-a / lam) for a = log(1 - D), and the minimum -lam * logsumexp(-a / lam).
+
+    The generator's best response to a fixed discriminator: by the Gibbs
+    variational principle, sum(w * a) + lam * sum(w * log w) over the simplex
+    is smallest at w*, and exceeds that minimum by exactly lam * KL(w || w*).
+    Returns (w*, log w*, minimum).
+    """
+    z = -np.asarray(log1m_d, dtype=np.float64) / lam
+    top = z.max()
+    lse = top + np.log(np.sum(np.exp(z - top)))
+    log_w = z - lse
+    return np.exp(log_w), log_w, -lam * lse
+
+
 def warmup_only(config):
     """The pretraining-only baseline as advclf train runs it: the warm-up for every step of config."""
     return replace(config, pretrain_iters=config.pretrain_iters + config.train_iters, train_iters=0)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import advclf.adversarial
 from advclf.adversarial import (
     TrainConfig,
+    _gen_terms,
+    _normalized_weights,
     batch_weight_entropy,
     discriminator_logits,
     discriminator_step,
@@ -39,6 +41,7 @@ from advclf.theory import TheoryConfig
 
 from helpers import (
     array_bits,
+    best_response,
     flatten_param_grads,
     grad_rel_error,
     stack_of,
@@ -346,6 +349,37 @@ def test_large_lambda_pushes_weights_toward_uniform():
     w, _ = generator_batch_weights(gen, neg)
     assert batch_weight_entropy(w) > batch_weight_entropy(w0)
     assert abs(w[0] - 0.5) < 0.05
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    draws=st.integers(1, 32).flatmap(lambda m: st.tuples(
+        st.lists(st.floats(-20.0, 0.0), min_size=m, max_size=m),
+        st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m),
+    )),
+    lam=st.floats(1e-3, 10.0),
+    scale=st.floats(0.1, 100.0),
+)
+def test_generator_loss_exceeds_its_best_response_by_lambda_kl(draws, lam, scale):
+    """_gen_terms against the closed-form best response w* proportional to exp(-a / lam), a = log(1 - D).
+
+    Its loss minus the minimum is lam * KL(w || w*), never negative, and its
+    gradient vanishes at raw outputs t whose softplus is scale * w*. a / lam
+    stays in [-20, 0], so that w* is representable.
+    """
+    a_over_lam, t = map(np.array, draws)
+    a = lam * a_over_lam
+    w_star, log_w_star, minimum = best_response(a, lam)
+    tol = 1e-12 * (lam + abs(minimum))
+    loss, _ = _gen_terms(t, a, lam)
+    w = _normalized_weights(t)[0]
+    gap = loss - minimum
+    assert gap >= -tol
+    assert abs(gap - lam * float(np.sum(w * (np.log(w) - log_w_star)))) <= tol
+    _, grad = _gen_terms(np.log(np.expm1(scale * w_star)), a, lam)
+    # the gradient is sigmoid(t) * (score - its w-mean) / scale, where score = a + lam * (1 + log w)
+    score = np.max(np.abs(a) + lam * (1.0 + np.abs(log_w_star)))
+    assert np.max(np.abs(grad)) <= 1e-12 * score / scale
 
 
 # --- training loops ---

@@ -107,6 +107,13 @@ def test_unknown_reference_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_train_help_names_every_reference_row(capsys):
+    code, out, _ = run_cli(capsys, ["train", "--help"])
+    assert code == 0
+    for name in REFERENCE_ROWS:
+        assert name in out
+
+
 def test_train_requires_exactly_one_source(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["train"])
     assert code == 2
@@ -298,6 +305,9 @@ def test_config_file_bad_value(capsys, tmp_path):
     (["train", "--synth", "--config", "synth-dim = 0"],
      "error: config key synth_dim: expected an integer >= 1, got '0'"),
     (["theory", "--k", "1"], "argument --k: expected an integer >= 2, got '1'"),
+    (["train", "--synth", "--reference", "bogus"],
+     "argument --reference: expected one of letter_img, mammography, pen_digits, protein_homo, webpage,"
+     " got 'bogus'"),
     (["theory", "--k", "many"], "argument --k: expected an integer >= 2, got 'many'"),
     (["theory", "--config", "max-iters = 0"],
      "error: config key max_iters: expected an integer >= 1, got '0'"),
@@ -320,14 +330,14 @@ def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, a
 
 
 def test_config_file_unknown_reference_exits_2_before_training(capsys, tmp_path, monkeypatch):
-    """argparse's choices cover only the flag; the file's value is checked before any model trains."""
+    """The file's value takes the flag's check, before any model trains."""
     monkeypatch.setattr("advclf.cli.train", fail_if_called)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("reference = bogus\n")
     code, out, err = run_cli(capsys, small_train_args() + ["--config", str(cfg)])
     assert code == 2
     assert out == ""
-    assert "unknown reference row 'bogus'" in err
+    assert f"config key reference: expected one of {', '.join(sorted(REFERENCE_ROWS))}, got 'bogus'" in err
 
 
 def test_config_file_missing_or_malformed(tmp_path):
@@ -349,8 +359,9 @@ def test_config_file_key_resolves_like_its_flag(tmp_path, command, key):
     if option.const is not None:  # --synth and --no-standardize take no value
         flag_argv, text = [flag], "yes" if option.const else "no"
     else:
-        # 7 suits every setting but the fractions, which must lie strictly between 0 and 1
-        text = option.choices[0] if option.choices else "0.7" if option.convert is open_fraction else "7"
+        # 7 suits every setting but the fractions, which must lie strictly between 0 and 1,
+        # and reference, which must name a row
+        text = "pen_digits" if key == "reference" else "0.7" if option.convert is open_fraction else "7"
         flag_argv = [flag, text]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{file_key} = {text}\n")
@@ -532,6 +543,14 @@ def test_theory_bad_inputs_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("p_plus", ["nan,0.5,0.5", "0.5,0.5,nan"])
+def test_theory_nan_p_plus_names_the_flag(capsys, p_plus):
+    code, out, err = run_cli(capsys, ["theory", "--k", "3", "--p-plus", p_plus])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --p-plus entries must be positive and sum to 1\n"
 
 
 def test_theory_out_file(capsys, tmp_path):

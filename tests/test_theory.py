@@ -80,6 +80,17 @@ def test_optimal_discriminator_errors():
         optimal_discriminator([0.5, 0.5, 0.0], [0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("other", [[1.0], [0.2, 0.3, 0.5]], ids=["1-point", "3-point"])
+@pytest.mark.parametrize("call", [
+    lambda p, other: value_v(p, other, [0.5, 0.5]),
+    lambda p, other: generator_objective_grad(p, other, 0.1),
+], ids=["value_v", "generator_objective_grad"])
+def test_distributions_on_two_supports_raise(call, other):
+    """A 2-point distribution against another support size raises before numpy broadcasts the two."""
+    with pytest.raises(ConfigError, match="share a support"):
+        call([0.5, 0.5], other)
+
+
 def test_optimal_discriminator_is_maximal():
     """V(d*) beats random perturbations of d* clipped into (0, 1)."""
     rng = np.random.default_rng(17)
