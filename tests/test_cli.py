@@ -305,15 +305,15 @@ def test_config_file_bad_value(capsys, tmp_path):
     (["train", "--synth", "--config", "synth-dim = 0"],
      "error: config key synth_dim: expected an integer >= 1, got '0'"),
     (["theory", "--k", "1"], "argument --k: expected an integer >= 2, got '1'"),
-    (["train", "--synth", "--reference", "bogus"],
-     "argument --reference: expected one of letter_img, mammography, pen_digits, protein_homo, webpage,"
-     " got 'bogus'"),
     (["theory", "--k", "many"], "argument --k: expected an integer >= 2, got 'many'"),
     (["theory", "--config", "max-iters = 0"],
      "error: config key max_iters: expected an integer >= 1, got '0'"),
     (["synth", "--out", "x.csv", "--n", "2"], "argument --n: expected an integer >= 3, got '2'"),
     (["synth", "--out", "x.csv", "--config", "dim = two"],
      "error: config key dim: expected an integer >= 1, got 'two'"),
+    (["train", "--synth", "--reference", "bogus"],
+     "argument --reference: expected one of letter_img, mammography, pen_digits, protein_homo, webpage,"
+     " got 'bogus'"),
 ])
 def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, argv, reason):
     """A converter's ConfigError text is the message, from a flag or a config file, with exit 2."""
