@@ -35,8 +35,9 @@ all of them; the generator, the trace and the checkpoints read model 0.
 The adversarial rows and each baseline are row indices into one table, so
 the table is held once; every model draws its batches from its own rows
 and its own stream, by index into its class rows, and ends bit for bit
-where its lone run on a copy of those rows would. A model on the same rows
-as an earlier one shares that model's draws, which its stream would repeat.
+where its lone run on a copy of those rows would. The pretraining-only
+baseline is model 0 until the warm-up ends: there a copy of model 0 joins
+the stack and continues the warm-up on model 0's batches.
 """
 
 import math
@@ -251,25 +252,19 @@ def train(config, data, gen_spec, checkpoint=None, baselines=(), rows=None):
     loop: all pretrain_iters + train_iters steps are warm-up steps, and it
     starts from the same weights and batch seed as the adversarial
     discriminator. It ends exactly where train on a config with those
-    counts, given a copy of those rows, would leave it; a baseline on the
-    adversarial rows is the pretraining-only baseline. Returns (disc, gen,
-    trace, [baseline disc per row array]).
+    counts, given a copy of those rows, would leave it. The pretraining-only
+    baseline, that run on the adversarial rows, is always fitted: it is
+    model 0 through the warm-up, then a copy of it that takes model 0's
+    batches with uniform coefficients. Returns (disc, gen, trace,
+    [pretraining-only disc, then a baseline disc per row array]).
     """
     every, checkpoint_fn = checkpoint or (1, None)
     if every < 1:
         raise ConfigError(f"checkpoint interval must be >= 1, got {every}")
     fit_rows = (np.arange(data.n) if rows is None else rows, *baselines)
     k, m = len(fit_rows), config.batch_size
-    # every model's stream starts from one seed, so a model whose rows equal an earlier model's
-    # would draw that model's batches: it takes them, and its class rows, from the first such model
-    source = [next((i for i in range(j) if np.array_equal(fit_rows[i], fit_rows[j])), j) for j in range(k)]
     # each model's batches are drawn by index into its class rows of data, never from copies of them
-    class_rows = []
-    for j, fit in enumerate(fit_rows):
-        if source[j] < j:
-            class_rows.append(class_rows[source[j]])
-        else:
-            class_rows.append((fit[data.labels[fit] == 1], fit[data.labels[fit] == 0]))
+    class_rows = [(fit[data.labels[fit] == 1], fit[data.labels[fit] == 0]) for fit in fit_rows]
     if any(len(pos) == 0 or len(neg) == 0 for pos, neg in class_rows):
         raise DataError("training data must contain both classes")
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -277,32 +272,32 @@ def train(config, data, gen_spec, checkpoint=None, baselines=(), rows=None):
     gen = init_generator(data.n_features, gen_spec, np.random.default_rng(seeds[1]))
     rngs = [np.random.default_rng(seeds[2]) for _ in fit_rows]
     stack = [(np.repeat(w[None], k, axis=0), np.repeat(b[None, None], k, axis=0)) for w, b in init]
-    # model j of the stack as a lone net: views, so each step shows in them
-    discs = [[(weight[j], bias[j, 0]) for weight, bias in stack] for j in range(k)]
-    disc = discs[0]
 
-    def draw():
-        """(K, m, d) positive and negative batches: per model, positive then negative indices."""
-        pos = np.empty((k, m, data.n_features))
-        neg = np.empty((k, m, data.n_features))
+    def draw(n):
+        """(n, m, d) positive and negative batches: each of the k fitted models' own, then model 0's again."""
+        pos = np.empty((n, m, data.n_features))
+        neg = np.empty((n, m, data.n_features))
         for j, ((pos_rows, neg_rows), rng) in enumerate(zip(class_rows, rngs)):
-            if source[j] < j:
-                pos[j], neg[j] = pos[source[j]], neg[source[j]]
-                continue
             pos[j] = data.features[pos_rows[rng.integers(0, len(pos_rows), size=m)]]
             neg[j] = data.features[neg_rows[rng.integers(0, len(neg_rows), size=m)]]
+        pos[k:], neg[k:] = pos[0], neg[0]
         return pos, neg
 
     trace = TrainTrace()
     for i in range(config.pretrain_iters):
-        pos, neg = draw()
+        pos, neg = draw(k)
         try:
             stack, losses = pretrain_step(stack, pos, neg, config.eta_d)
         except TrainingError as exc:
             raise TrainingError(f"pretraining iteration {i}: {exc}") from exc
         trace.pretrain_d_loss.append(losses[0])
+    # the warm-up ends: model k, a copy of model 0, is the pretraining-only baseline from here on
+    stack = [(np.concatenate([w, w[:1]]), np.concatenate([b, b[:1]])) for w, b in stack]
+    # model j of the stack as a lone net: views, so each step shows in them
+    discs = [[(weight[j], bias[j, 0]) for weight, bias in stack] for j in range(k + 1)]
+    disc = discs[0]
     for i in range(config.train_iters):
-        pos, neg = draw()
+        pos, neg = draw(k + 1)
         try:
             w, gen_acts = generator_batch_weights(gen, neg[0])
             stack, losses = discriminator_step(config, stack, pos, neg, w)
@@ -312,4 +307,4 @@ def train(config, data, gen_spec, checkpoint=None, baselines=(), rows=None):
         trace.record(losses[0], g_loss, w)
         if checkpoint_fn is not None and (i + 1) % every == 0:
             trace.checkpoints.append(checkpoint_fn(i + 1, disc))
-    return disc, gen, trace, discs[1:]
+    return disc, gen, trace, [discs[k], *discs[1:k]]

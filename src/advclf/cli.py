@@ -282,9 +282,8 @@ def cmd_train(args):
         return {"iteration": int(iteration), "val_auc": auc_roc(scores(disc, val_rows), val_labels)}
 
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
-    # a baseline is the warm-up alone, run for the adversarial run's total step count on training rows
+    # warm-up-only baselines on resampled training rows; train fits the pretraining-only one itself, first
     baselines = {
-        "pretrain_baseline": train_rows,
         "undersample_baseline": train_rows[
             undersample_majority(train_labels, np.random.default_rng(resample_seeds[0]))
         ],
@@ -300,7 +299,7 @@ def cmd_train(args):
         baselines=baselines.values(),
         rows=train_rows,
     )
-    models = {"adversarial": adv_disc, **dict(zip(baselines, baseline_discs))}
+    models = {"adversarial": adv_disc, **dict(zip(["pretrain_baseline", *baselines], baseline_discs))}
     evaluations = {}
     for name, disc in models.items():
         evaluations[name] = {

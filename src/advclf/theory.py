@@ -49,6 +49,12 @@ def _one_support(*dists):
     return dists
 
 
+def _check_lam(lam):
+    """ConfigError unless the entropy weight lam is finite and >= 0."""
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError("lam must be finite and >= 0")
+
+
 def _xlogy(x, y):
     """x * log(y) with 0 * log(0) = 0; x must be >= 0."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
@@ -85,8 +91,7 @@ def value_v(p_plus, p_neg, d):
 def generator_objective(p, p_plus, lam):
     """Cost J(p) of the re-weighting distribution at the optimal discriminator."""
     p, p_plus = _one_support(p, p_plus)
-    if lam < 0:
-        raise ConfigError("lam must be >= 0")
+    _check_lam(lam)
     mix = p_plus + p
     safe_mix = np.where(mix > 0.0, mix, 1.0)
     t1 = float(np.sum(_xlogy(p_plus, p_plus / safe_mix)))
@@ -98,6 +103,7 @@ def generator_objective(p, p_plus, lam):
 def generator_objective_grad(p, p_plus, lam):
     """dJ/dp_i = log(p_i / (p_plus_i + p_i)) + lam * (1 + log p_i); needs p > 0."""
     p, p_plus = _one_support(p, p_plus)
+    _check_lam(lam)
     if np.any(p <= 0):
         raise ConfigError("gradient needs strictly positive p")
     return np.log(p / (p_plus + p)) + lam * (1.0 + np.log(p))
@@ -110,8 +116,7 @@ class TheoryConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError("lam must be finite and >= 0")
+        _check_lam(self.lam)
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if not 0.0 < self.tol < math.inf:
@@ -171,8 +176,7 @@ def minimize_generator(p_plus, config):
 def fixed_point_residual(p, p_plus, lam):
     """Max-norm gap of normalize(p^(lam+1)) = (p + p_plus) / 2 at the point p."""
     p, p_plus = _one_support(p, p_plus)
-    if lam < 0:
-        raise ConfigError("lam must be >= 0")
+    _check_lam(lam)
     powered = np.power(p, lam + 1.0)
     total = float(powered.sum())
     if total <= 0.0:

@@ -138,12 +138,13 @@ def train_alone(config, data, gen_spec, checkpoint=None):
 
 
 def train_four_alone(config, data, gen_spec, baselines, checkpoint=None):
-    """train(..., baselines=baselines) as lone runs: the adversarial one, then each baseline's warm-up.
+    """train(..., baselines=baselines) as lone runs: the adversarial one, then the warm-up alone on
+    all of data, then on each baseline's rows.
 
     Each baseline's row indices are materialised as a copy of those rows of data.
     """
     disc, gen, trace = train_alone(config, data, gen_spec, checkpoint)
-    copies = [LabeledDataset(data.features[rows], data.labels[rows]) for rows in baselines]
+    copies = [data, *(LabeledDataset(data.features[rows], data.labels[rows]) for rows in baselines)]
     return disc, gen, trace, [train_alone(warmup_only(config), ds, gen_spec)[0] for ds in copies]
 
 

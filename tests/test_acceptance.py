@@ -68,7 +68,6 @@ from helpers import (
     flatten_param_grads,
     grad_rel_error,
     sbm_graph,
-    warmup_only,
 )
 
 LOG4 = math.log(4.0)
@@ -354,8 +353,8 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
         train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=seed))
         (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
         config = TrainConfig(seed=seed)
-        adv, _, _, _ = train(config, train_set, ARCH_PRESETS["shallow"])
-        base, _, _, _ = train(warmup_only(config), train_set, ARCH_PRESETS["shallow"])
+        # the pretraining-only baseline: the same warm-up continued on the adversarial run's batches
+        adv, _, _, (base,) = train(config, train_set, ARCH_PRESETS["shallow"])
         auc_adv = evaluate_binary(predict(adv, test_set.features), test_set.labels).auc
         auc_base = evaluate_binary(predict(base, test_set.features), test_set.labels).auc
         wins += auc_adv >= auc_base

@@ -500,7 +500,7 @@ def trace_lists(trace):
 
 
 def baseline_rows(data, seed):
-    """The CLI's three baselines' row indices plus a subsample: four different class counts."""
+    """All rows, the CLI's two resampled row sets and a subsample: four different class counts."""
     rng = np.random.default_rng(seed)
     return [
         np.arange(data.n),
@@ -511,41 +511,54 @@ def baseline_rows(data, seed):
 
 
 @pytest.mark.parametrize(
-    "seed, batch_size, dim, gen_spec, n_baselines",
-    [(41, 16, 2, (8,), 3), (57, 1, 3, (6, 4), 4), (68, 7, 5, (64, 32, 32), 2), (93, 32, 1, (3,), 0)],
+    "seed, batch_size, dim, gen_spec, n_baselines, pretrain_iters, train_iters",
+    [
+        pytest.param(41, 16, 2, (8,), 3, 11, 17, id="41-16-2-gen_spec0-3"),
+        pytest.param(57, 1, 3, (6, 4), 4, 11, 17, id="57-1-3-gen_spec1-4"),
+        pytest.param(68, 7, 5, (64, 32, 32), 2, 11, 17, id="68-7-5-gen_spec2-2"),
+        pytest.param(93, 32, 1, (3,), 0, 11, 17, id="93-32-1-gen_spec3-0"),
+        pytest.param(3301, 8, 2, (5,), 2, 0, 17, id="3301-fork-before-the-first-step"),
+        pytest.param(5077, 4, 3, (8,), 3, 11, 0, id="5077-fork-after-the-last-step"),
+    ],
 )
-def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_baselines):
-    """Every discriminator of the stack, the generator and the trace equal the separate runs bit for bit."""
+def test_stacked_train_matches_lone_runs(seed, batch_size, dim, gen_spec, n_baselines, pretrain_iters,
+                                         train_iters):
+    """Every discriminator of the stack, the generator and the trace equal the separate runs bit for bit.
+
+    The pretraining-only baseline forks from the adversarial discriminator
+    when the warm-up ends; the last two cases have no warm-up steps and no
+    adversarial steps.
+    """
     data = synth_gaussian_imbalanced(
         SynthSpec(n_total=240, imbalance_ratio=5.0, dim=dim, class_separation=1.5, seed=seed)
     )
     baselines = baseline_rows(data, seed)[:n_baselines]
-    cfg = TrainConfig(batch_size=batch_size, pretrain_iters=11, train_iters=17, eta_d=0.3, seed=seed)
+    cfg = TrainConfig(batch_size=batch_size, pretrain_iters=pretrain_iters, train_iters=train_iters,
+                      eta_d=0.3, seed=seed)
 
     def snap(iteration, disc):
         return iteration, net_bits(disc)
 
     disc, gen, trace, base_discs = train(cfg, data, gen_spec, checkpoint=(4, snap), baselines=baselines)
     o_disc, o_gen, o_trace, o_base = train_four_alone(cfg, data, gen_spec, baselines, checkpoint=(4, snap))
-    assert len(base_discs) == n_baselines
+    assert len(base_discs) == 1 + n_baselines
     for got, want in zip([disc, gen, *base_discs], [o_disc, o_gen, *o_base], strict=True):
         assert net_bits(got) == net_bits(want)
     assert trace_lists(trace) == trace_lists(o_trace)
-    assert len(trace.checkpoints) == 4 and len(trace.d_loss) == 17
+    assert len(trace.checkpoints) == train_iters // 4 and len(trace.d_loss) == train_iters
 
 
 def test_train_on_rows_of_a_table_matches_lone_runs_and_shares_equal_draws(monkeypatch):
     """Rows of one table, as advclf train passes them, give the lone runs on copies of those rows.
 
-    A baseline on rows equal to the adversarial rows takes model 0's draws:
-    three row sets among four models make six index draws per step, not eight.
+    The pretraining-only baseline takes model 0's draws: three row sets among
+    four models make six index draws per step, not eight.
     """
     table = synth_gaussian_imbalanced(SynthSpec(n_total=300, imbalance_ratio=4.0, dim=3, seed=4099))
     rng = np.random.default_rng(4099)
     rows = rng.permutation(table.n)[:180]  # unordered rows of the table, as a split returns them
     part = LabeledDataset(table.features[rows], table.labels[rows])
-    positions = [np.arange(part.n), undersample_majority(part.labels, rng),
-                 oversample_minority(part.labels, rng)]
+    positions = [undersample_majority(part.labels, rng), oversample_minority(part.labels, rng)]
     cfg = TrainConfig(batch_size=8, pretrain_iters=6, train_iters=9, eta_d=0.3, seed=4099)
     draws = []
 

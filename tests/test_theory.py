@@ -91,6 +91,14 @@ def test_distributions_on_two_supports_raise(call, other):
         call([0.5, 0.5], other)
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("function", [generator_objective, generator_objective_grad, fixed_point_residual])
+def test_lam_outside_its_range_raises(function, lam):
+    """Every function of p, p_plus and lam rejects what TheoryConfig rejects, with its message."""
+    with pytest.raises(ConfigError, match=r"^lam must be finite and >= 0$"):
+        function([0.5, 0.5], [0.3, 0.7], lam)
+
+
 def test_optimal_discriminator_is_maximal():
     """V(d*) beats random perturbations of d* clipped into (0, 1)."""
     rng = np.random.default_rng(17)
