@@ -481,7 +481,8 @@ def cmd_synth(args):
     _check_out_dirs(opts)
     data = synth_gaussian_imbalanced(spec)
     save_csv(opts["out"], data)
-    print(f"wrote {opts['out']}: positives={data.n_pos} negatives={data.n_neg}")
+    n_pos, n_neg = _class_counts(data.labels)
+    print(f"wrote {opts['out']}: positives={n_pos} negatives={n_neg}")
     return 0
 
 

@@ -41,14 +41,6 @@ class LabeledDataset:
     def n_features(self):
         return self.features.shape[1]
 
-    @property
-    def n_pos(self):
-        return int(np.count_nonzero(self.labels == 1))
-
-    @property
-    def n_neg(self):
-        return int(np.count_nonzero(self.labels == 0))
-
 
 def _line_blocks(path):
     """The lines of path in blocks: (number of the block's first line, its text, its lines).

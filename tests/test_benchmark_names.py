@@ -83,3 +83,8 @@ def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
             fast = load()
         with exact_parse_only():
             assert load() == fast, f"{workload.name}: the two parses disagree"
+
+
+def test_package_init_file_exists():
+    """perfbench/run.py exits 2 unless src/advclf/__init__.py is a file, though it holds only a docstring."""
+    assert (BENCHMARK.parent / "src" / "advclf" / "__init__.py").is_file()

@@ -46,7 +46,7 @@ class TestLoadCsv:
         f.write_text("x,y,label\n1.0,2.0,pos\n3.0,4.0,neg\n5.0,6.0,neg\n")
         data = load_csv(f, "label", "pos")
         assert data.n == 3 and data.n_features == 2
-        assert data.n_pos == 1 and data.n_neg == 2
+        assert np.count_nonzero(data.labels == 1) == 1 and np.count_nonzero(data.labels == 0) == 2
         assert data.features[0, 1] == 2.0
 
     def test_savetxt_header_is_a_header_not_a_comment(self, tmp_path):
@@ -55,7 +55,7 @@ class TestLoadCsv:
         rows = [[1.0, 2.0, 1.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]]
         np.savetxt(f, rows, fmt="%g", delimiter=",", header="x,y,label")
         data = load_csv(f, "label", "1")
-        assert data.n == 3 and data.n_pos == 1
+        assert data.n == 3 and np.count_nonzero(data.labels == 1) == 1
         assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_missing_file(self, tmp_path):
@@ -268,9 +268,9 @@ class TestSplit:
         labels[:10] = 1
         data = LabeledDataset(rng.standard_normal((100, 2)), labels)
         tr, va, te = split_dataset(data, SplitSpec(seed=2))
-        assert abs(tr.n_pos - 6) <= 1
-        assert abs(va.n_pos - 2) <= 1
-        assert abs(te.n_pos - 2) <= 1
+        assert abs(np.count_nonzero(tr.labels == 1) - 6) <= 1
+        assert abs(np.count_nonzero(va.labels == 1) - 2) <= 1
+        assert abs(np.count_nonzero(te.labels == 1) - 2) <= 1
 
     def test_deterministic_in_seed(self):
         data = small_dataset(n=30, seed=9)
@@ -299,7 +299,7 @@ class TestSplit:
         data = LabeledDataset(rng.standard_normal((n, 2)), labels)
         tr, va, te = split_dataset(data, SplitSpec(seed=seed))
         assert tr.n + va.n + te.n == n
-        assert tr.n_pos + va.n_pos + te.n_pos == int(labels.sum())
+        assert sum(np.count_nonzero(part.labels == 1) for part in (tr, va, te)) == int(labels.sum())
 
 
 @settings(max_examples=30, deadline=None)
@@ -364,7 +364,7 @@ class TestSynth:
         assert spec.n_minority == 1057
         assert spec.n_majority == 9935
         data = synth_gaussian_imbalanced(spec)
-        assert data.n_pos == 1057 and data.n_neg == 9935
+        assert np.count_nonzero(data.labels == 1) == 1057 and np.count_nonzero(data.labels == 0) == 9935
 
     def test_zero_separation_indistinguishable(self):
         data = synth_gaussian_imbalanced(
@@ -424,9 +424,9 @@ class TestResampling:
         assert rows[len(neg):].tolist() == neg.tolist()
         assert set(rows[: len(neg)].tolist()) == set(pos.tolist())
 
-    def test_single_class_rejected(self):
-        data = LabeledDataset(np.ones((5, 2)), np.ones(5, dtype=np.int64))
-        with pytest.raises(DataError):
-            undersample_majority(data.labels, np.random.default_rng(0))
-        with pytest.raises(DataError):
-            oversample_minority(data.labels, np.random.default_rng(0))
+    @pytest.mark.parametrize("label", [1, 0], ids=["all-positive", "all-negative"])
+    def test_single_class_rejected(self, label):
+        labels = np.full(5, label, dtype=np.int64)
+        for resample in (undersample_majority, oversample_minority):
+            with pytest.raises(DataError, match="resampling needs both classes"):
+                resample(labels, np.random.default_rng(0))
