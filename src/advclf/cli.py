@@ -8,7 +8,6 @@ key=value lines.
 
 import argparse
 import ctypes
-import functools
 import json
 import math
 import sys
@@ -70,11 +69,11 @@ def _parse_arch(text):
     try:
         dims = tuple(int(tok) for tok in key.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(
+        raise argparse.ArgumentTypeError(
             f"generator architecture must be 'shallow', 'deep' or comma-separated ints, got {text!r}"
         ) from None
     if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"generator hidden widths must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"generator hidden widths must be positive, got {text!r}")
     return dims
 
 
@@ -84,11 +83,11 @@ def _parse_bool(text):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _bounded(parse, within, what):
-    """A converter: parse(text) if it parses and lies within the bound, else ConfigError naming what."""
+    """A converter: parse(text) if it parses and lies within the bound, else ArgumentTypeError naming what."""
 
     def convert(text):
         try:
@@ -98,7 +97,7 @@ def _bounded(parse, within, what):
         else:
             if within(value):
                 return value
-        raise ConfigError(f"expected {what}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
     return convert
 
@@ -118,7 +117,7 @@ class Option(NamedTuple):
     """One setting of a subcommand: build_parser makes its flag, _resolve its value."""
 
     default: object = None
-    convert: Callable = str  # parses the flag's text and the config file's alike
+    convert: Callable = str  # an argparse type; _resolve applies it to the config file's text too
     help: str | None = None
     flags: tuple = ()  # flag names, when not the key's own --key-name
     const: object = None  # if set, the flag takes no value and stores this one
@@ -160,7 +159,7 @@ def _resolve(args, table):
         elif key in file_values:
             try:
                 opts[key] = option.convert(file_values[key])
-            except ConfigError as exc:
+            except argparse.ArgumentTypeError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from None
         else:
             opts[key] = option.default
@@ -220,6 +219,25 @@ def _write_trace_csv(path, trace):
 
 
 # A dataclass's class attributes are its field defaults; the option tables read them from there.
+def _train_config_options(batch_size=TrainConfig.batch_size, eta_d=TrainConfig.eta_d, eta_g=TrainConfig.eta_g,
+                          gamma=TrainConfig.gamma):
+    """The settings of the adversarial loop and its generator, which train and graph share.
+
+    The defaults a command sets are arguments here; the rest are TrainConfig's.
+    """
+    return {
+        "batch_size": Option(batch_size, positive_int),
+        "pretrain_iters": Option(TrainConfig.pretrain_iters, nonnegative_int),
+        "train_iters": Option(TrainConfig.train_iters, nonnegative_int),
+        "eta_d": Option(eta_d, finite_float),
+        "eta_g": Option(eta_g, finite_float),
+        "gamma": Option(gamma, finite_float),
+        "lam": Option(TrainConfig.lam, finite_float, flags=("--lam", "--lambda")),
+        "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch,
+                           "'shallow', 'deep' or comma-separated hidden widths"),
+    }
+
+
 TRAIN_OPTIONS = {
     "seed": Option(TrainConfig.seed, nonnegative_int),
     "data": Option(help="CSV with a header row and a label column"),
@@ -231,15 +249,7 @@ TRAIN_OPTIONS = {
     "synth_ir": Option(SynthSpec.imbalance_ratio, finite_float),
     "synth_dim": Option(SynthSpec.dim, positive_int),
     "synth_sep": Option(SynthSpec.class_separation, finite_float),
-    "batch_size": Option(TrainConfig.batch_size, positive_int),
-    "pretrain_iters": Option(TrainConfig.pretrain_iters, nonnegative_int),
-    "train_iters": Option(TrainConfig.train_iters, nonnegative_int),
-    "eta_d": Option(TrainConfig.eta_d, finite_float),
-    "eta_g": Option(TrainConfig.eta_g, finite_float),
-    "gamma": Option(TrainConfig.gamma, finite_float),
-    "lam": Option(TrainConfig.lam, finite_float, flags=("--lam", "--lambda")),
-    "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch,
-                       "'shallow', 'deep' or comma-separated hidden widths"),
+    **_train_config_options(),
     "standardize": Option(True, _parse_bool, flags=("--no-standardize",), const=False),
     "eval_every": Option(0, nonnegative_int, "validation AUC checkpoint interval"),
     "reference": Option(None, _bounded(str, REFERENCE_ROWS.__contains__, "one of " + REFERENCE_NAMES),
@@ -353,14 +363,7 @@ GRAPH_OPTIONS = {
     "labels": Option(help="optional node label file for classification probes"),
     "test_frac": Option(0.1, open_fraction),
     "dim": Option(20, positive_int),
-    "batch_size": Option(1024, positive_int),
-    "pretrain_iters": Option(200, nonnegative_int),
-    "train_iters": Option(500, nonnegative_int),
-    "eta_d": Option(1e-3, finite_float),
-    "eta_g": Option(1e-5, finite_float),
-    "gamma": Option(1e-3, finite_float),
-    "lam": Option(0.1, finite_float, flags=("--lam", "--lambda")),
-    "gen_arch": Option(ARCH_PRESETS["shallow"], _parse_arch),
+    **_train_config_options(batch_size=1024, eta_d=1e-3, eta_g=1e-5, gamma=1e-3),
     "label_train_frac": Option(0.9, open_fraction),
     "label_shuffles": Option(10, positive_int),
     "out_embeddings": Option(),
@@ -486,19 +489,6 @@ def cmd_synth(args):
     return 0
 
 
-def _flag_type(convert):
-    """convert as an argparse type: a ConfigError's reason becomes argparse's message."""
-
-    @functools.wraps(convert)
-    def parse(text):
-        try:
-            return convert(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="advclf",
@@ -516,7 +506,7 @@ def build_parser():
         sub.add_argument("--config", help="flat key=value settings file")
         for key, option in table.items():
             flags = option.flags or ("--" + key.replace("_", "-"),)
-            kind = {"type": _flag_type(option.convert)}
+            kind = {"type": option.convert}
             if option.const is not None:
                 kind = {"action": "store_const", "const": option.const}
             sub.add_argument(*flags, dest=key, help=option.help, **kind)

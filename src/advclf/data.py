@@ -100,7 +100,8 @@ def load_csv(path, label_column, positive_label):
     block, the per-cell parse runs on that block instead, so every file
     loads or fails as that parse alone would have it. A first pass counts
     the rows, so each block's rows are written into the one table the call
-    returns. A single-class file loads with a warning since it is usable
+    returns; a file whose row count changed between the passes raises
+    DataError. A single-class file loads with a warning since it is usable
     for evaluation only.
     """
     path = Path(path)
@@ -119,6 +120,8 @@ def load_csv(path, label_column, positive_label):
             features = np.empty((n_rows, len(header) - 1))
             labels = np.empty(n_rows, dtype=np.int64)
         if rows:
+            if at + len(rows) > n_rows:
+                raise DataError(f"{path}: changed while it was read; more than the {n_rows} data rows counted")
             cells = _csv_cells([line for _, line in rows], len(header), label_idx, positive_label)
             if cells is None:
                 cells = _csv_cells_exact(path, header, label_idx, positive_label, rows)
@@ -127,6 +130,8 @@ def load_csv(path, label_column, positive_label):
         del text, lines, rows  # before the next block is read
     if header is None:
         raise DataError(f"{path}: empty file")
+    if at != n_rows:
+        raise DataError(f"{path}: changed while it was read; {at} data rows, not the {n_rows} counted")
     if not at:
         raise DataError(f"{path}: no data rows")
     if labels.min() == labels.max():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -95,7 +96,7 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_bad_arch_string_exits_2(capsys):
-    # ConfigError subclasses ValueError, so argparse rejects the value itself
+    # the converter raises argparse's ArgumentTypeError, so argparse rejects the value itself
     with pytest.raises(SystemExit) as exc:
         main(["train", "--synth", "--gen-arch", "64,x"])
     assert exc.value.code == 2
@@ -240,6 +241,41 @@ def test_train_csv_without_a_feature_column_exits_1(capsys, tmp_path, monkeypatc
     assert f"error: {csv}: no feature column besides 'label'" in err
 
 
+def test_train_csv_of_blank_lines_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("advclf.cli.train", fail_if_called)
+    csv = tmp_path / "data.csv"
+    csv.write_text("\n  \n\t\n")
+    code, out, err = run_cli(capsys, ["train", "--data", str(csv)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {csv}: empty file\n"
+
+
+TRAIN_FAULT_ARGS = ["--synth", "--synth-n", "300", "--synth-ir", "4", "--batch-size", "8",
+                    "--pretrain-iters", "5", "--train-iters", "5"]
+
+
+@pytest.mark.parametrize("argv,overflows,message", [
+    (["train", *TRAIN_FAULT_ARGS, "--eta-d", "1e300"], False,
+     "adversarial iteration 1: degenerate generator: raw batch weights underflowed to zero"),
+    (["train", *TRAIN_FAULT_ARGS, "--eta-d", "1.7e308"], True,
+     "pretraining iteration 1: non-finite discriminator loss"),
+    (["graph", "--edges", "edges.txt", "--eta-d", "1e300"], False,
+     "pretraining iteration 1: non-finite discriminator loss"),
+    (["graph", "--edges", "edges.txt", "--eta-d", "1e300", "--pretrain-iters", "0"], False,
+     "adversarial iteration 0: non-finite generator loss"),
+], ids=["train-adversarial", "train-pretraining", "graph-pretraining", "graph-adversarial"])
+def test_training_fault_names_its_loop_and_iteration(capsys, tmp_path, monkeypatch, argv, overflows, message):
+    """A step's TrainingError reaches the user prefixed with the loop and the iteration it failed in."""
+    monkeypatch.chdir(tmp_path)
+    write_clique_edges(tmp_path / "edges.txt")
+    with pytest.warns(RuntimeWarning, match="overflow") if overflows else contextlib.nullcontext():
+        code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # --- config files ---
 
 
@@ -314,6 +350,7 @@ def test_config_file_bad_value(capsys, tmp_path):
     (["train", "--synth", "--reference", "bogus"],
      "argument --reference: expected one of letter_img, mammography, pen_digits, protein_homo, webpage,"
      " got 'bogus'"),
+    (["train", "--config", "synth = maybe"], "error: config key synth: expected a boolean, got 'maybe'"),
 ])
 def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, argv, reason):
     """A converter's ConfigError text is the message, from a flag or a config file, with exit 2."""
@@ -327,6 +364,38 @@ def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, a
     assert out == ""
     assert reason in err
     assert "invalid" not in err and "cannot parse" not in err
+
+
+# every option whose value a converter checks, through a flag and through a config file; the two options that
+# take no value as a flag (--synth, --no-standardize) are checked through the config file only
+CONVERTED_OPTIONS = [
+    (command, key, source)
+    for command, table in OPTION_TABLES.items()
+    for key, option in table.items() if option.convert is not str
+    for source in (("config",) if option.const is not None else ("flag", "config"))
+]
+
+
+@pytest.mark.parametrize("command,key,source", CONVERTED_OPTIONS)
+def test_every_converter_rejects_with_its_own_reason(capsys, tmp_path, monkeypatch, command, key, source):
+    """Text the converter rejects exits 2 with the converter's reason, from a flag or a config file.
+
+    A converter that raised anything but ArgumentTypeError would show argparse's "invalid ... value"
+    for a flag, and a traceback for a config file.
+    """
+    monkeypatch.chdir(tmp_path)
+    option = OPTION_TABLES[command][key]
+    if source == "flag":
+        flags = option.flags or ("--" + key.replace("_", "-"),)
+        argv, prefix = [command, flags[0], "bogus"], f"argument {'/'.join(flags)}: "
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = bogus\n")
+        argv, prefix = [command, "--config", "run.cfg"], f"error: config key {key}: "
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert prefix in err and err.endswith(", got 'bogus'\n")
+    assert "invalid" not in err
 
 
 def test_config_file_unknown_reference_exits_2_before_training(capsys, tmp_path, monkeypatch):

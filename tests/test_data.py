@@ -245,6 +245,23 @@ def test_load_csv_row_count_pass_keeps_every_outcome(tmp_path, text, block, outc
             assert data.features.tolist() == outcome and data.labels.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("block", [1 << 18, 6], ids=["one block", "a row a block"])
+@pytest.mark.parametrize("miscount, message", [
+    (1, "changed while it was read; 3 data rows, not the 4 counted"),
+    (-1, "changed while it was read; more than the 2 data rows counted"),
+], ids=["one more", "one fewer"])
+def test_load_csv_rejects_a_file_whose_rows_changed_between_its_passes(tmp_path, monkeypatch, miscount, message,
+                                                                       block):
+    """A file rewritten between the row count and the parse is an error naming it, not a wrong table."""
+    path = tmp_path / "d.csv"
+    path.write_text("x,y,label\n1,2,1\n3,4,0\n5,6,1\n")
+    count_rows = advclf.data._count_rows
+    monkeypatch.setattr(advclf.data, "_count_rows", lambda p: count_rows(p) + miscount)
+    with read_blocks_of(block), pytest.raises(DataError) as caught:
+        load_csv(path, "label", "1")
+    assert str(caught.value) == f"{path}: {message}"
+
+
 class TestSplit:
     def test_sizes_6_2_2(self):
         data = small_dataset(n=10)

@@ -123,6 +123,19 @@ def test_macro_micro_empty_class_counts_as_zero():
     assert micro == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("metric, args, message", [
+    (confusion, ([1, 0], [1]), r"shape mismatch: \(2,\) vs \(1,\)"),
+    (confusion, ([], []), "empty predictions"),
+    (auc_roc, ([0.2, 0.7], [1]), "scores and labels differ in length"),
+    (auc_roc, ([0.2, np.nan, 0.7], [1, 0, 1]), "scores must be finite"),
+    (auc_roc, ([0.2, np.inf], [1, 0]), "scores must be finite"),
+    (macro_micro_f1, ([],), "need at least one class"),
+], ids=["confusion-shapes", "confusion-empty", "auc-lengths", "auc-nan", "auc-inf", "macro-micro-no-class"])
+def test_metric_rejects_input_it_cannot_score(metric, args, message):
+    with pytest.raises(MetricsError, match=message):
+        metric(*args)
+
+
 def test_evaluate_binary_report_fields():
     scores = np.array([0.9, 0.6, 0.4, 0.1])
     labels = np.array([1, 0, 1, 0])
