@@ -124,7 +124,7 @@ class Option(NamedTuple):
 
 
 def load_config_file(path):
-    """Flat key=value lines; '#' comments; dashes in keys normalize to underscores."""
+    """Flat key=value lines, '#' comments: {normalized key: (spelling, line number, value)}; no key twice."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -135,11 +135,14 @@ def load_config_file(path):
                 stripped = line.strip()
                 if "=" not in stripped:
                     raise ConfigError(f"{path} line {lineno}: expected key=value, got {stripped!r}")
-                key, value = stripped.split("=", 1)
-                key = key.strip().replace("-", "_")
+                spelled, value = (part.strip() for part in stripped.split("=", 1))
+                key = spelled.replace("-", "_")
                 if key == "lambda":
                     key = "lam"
-                out[key] = value.strip()
+                if key in out:  # in either spelling: '-' or '_', lam or lambda
+                    raise ConfigError(f"{path} line {lineno}: key {spelled!r} repeats {out[key][0]!r} of line "
+                                      f"{out[key][1]}")
+                out[key] = spelled, lineno, value
     except DataError as exc:  # the reader's: a config file that is not UTF-8 is a bad setting
         raise ConfigError(str(exc)) from None
     return out
@@ -150,7 +153,7 @@ def _resolve(args, table):
     file_values = load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(table)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(file_values[key][0] for key in unknown)}")
     opts = {}
     for key, option in table.items():
         cli_value = getattr(args, key)
@@ -158,7 +161,7 @@ def _resolve(args, table):
             opts[key] = cli_value
         elif key in file_values:
             try:
-                opts[key] = option.convert(file_values[key])
+                opts[key] = option.convert(file_values[key][2])
             except argparse.ArgumentTypeError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from None
         else:
@@ -178,13 +181,17 @@ def _synth_spec(opts, prefix):
 
 
 def _check_out_dirs(opts):
-    """Raise before any data is read, not after the run, for an output path that cannot name a file."""
+    """Raise before any data is read, not after the run, for output paths that cannot name distinct files."""
+    key_of = {}
     for key, path in opts.items():
         if (key == "out" or key.startswith("out_")) and path:
             if Path(path).is_dir():
                 raise DataError(f"cannot write {path}: it is a directory")
             if not Path(path).parent.is_dir():
                 raise DataError(f"cannot write {path}: no such directory {Path(path).parent}")
+            other = key_of.setdefault(Path(path).resolve(), key)
+            if other != key:  # the file written last would silently replace the other
+                raise DataError(f"--{other.replace('_', '-')} and --{key.replace('_', '-')} both name {path}")
 
 
 def _class_counts(labels):

@@ -223,12 +223,6 @@ class SplitSpec:
     seed: int
 
 
-def _three_way_counts(n, spec):
-    n_train = min(int(round(spec.train_frac * n)), n)
-    n_val = min(int(round(spec.val_frac * n)), n - n_train)
-    return n_train, n_val, n - n_train - n_val
-
-
 def split_rows(labels, spec):
     """Row indices (train, val, test) of a disjoint, exhaustive partition, deterministic in spec.seed.
 
@@ -244,7 +238,8 @@ def split_rows(labels, spec):
     parts = ([], [], [])
     for idx in (pos, neg):
         shuffled = rng.permutation(idx)
-        a, b, _ = _three_way_counts(len(idx), spec)
+        a = min(int(round(spec.train_frac * len(idx))), len(idx))
+        b = min(int(round(spec.val_frac * len(idx))), len(idx) - a)
         parts[0].append(shuffled[:a])
         parts[1].append(shuffled[a : a + b])
         parts[2].append(shuffled[a + b :])

@@ -121,8 +121,8 @@ def _id_pairs(lines):
     return pairs
 
 
-def _id_pair_blocks(path, exact, accept=lambda pairs: True):
-    """The (k, 2) id pairs of the data lines of path, block by block, or None if it has none.
+def _id_pair_blocks(path, empty, exact, accept=lambda pairs: True):
+    """The (k, 2) id pairs of the data lines of path, block by block; DataError "path: empty" if it has none.
 
     numpy's C reader parses a block where it and accept take its pairs;
     any other block goes to exact(path, its numbered data lines), which
@@ -137,7 +137,9 @@ def _id_pair_blocks(path, exact, accept=lambda pairs: True):
                 pairs = exact(path, _data_lines(lines, start))
             parts.append(pairs)
         del text, lines, data  # before the next block is read
-    return np.concatenate(parts) if parts else None
+    if not parts:
+        raise DataError(f"{path}: {empty}")
+    return np.concatenate(parts)
 
 
 def load_edge_list(path):
@@ -150,9 +152,7 @@ def load_edge_list(path):
     instead, so every file loads or fails as that parse alone would have it.
     """
     path = Path(path)
-    pairs = _id_pair_blocks(path, _edge_pairs_exact, lambda pairs: (pairs[:, 0] != pairs[:, 1]).all())
-    if pairs is None:
-        raise DataError(f"{path}: no edges")
+    pairs = _id_pair_blocks(path, "no edges", _edge_pairs_exact, lambda pairs: (pairs[:, 0] != pairs[:, 1]).all())
     # int() first: an id at the int64 limit must not wrap when one is added
     return Graph(n_nodes=int(pairs.max()) + 1, edges=pairs)
 
@@ -192,9 +192,7 @@ def load_node_labels(path, n_nodes):
     so every file loads or fails as that parse alone would have it.
     """
     path = Path(path)
-    pairs = _id_pair_blocks(path, _label_ids_exact)
-    if pairs is None:
-        raise DataError(f"{path}: no label lines")
+    pairs = _id_pair_blocks(path, "no label lines", _label_ids_exact)
     nodes, labels = pairs.T
     top = nodes.max()
     if top >= n_nodes:

@@ -112,9 +112,7 @@ def finite_difference_grad(loss_fn, params):
         pair = []
         for arr in layer:
             g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
+            for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + epsilon
                 hi = loss_fn(work)

@@ -145,32 +145,26 @@ def minimize_generator(p_plus, config):
     k = p_plus.size
     p = np.full(k, 1.0 / k)
     obj = generator_objective(p, p_plus, config.lam)
-    converged = False
-    iterations = 0
     for iterations in range(1, config.max_iters + 1):
         grad = generator_objective_grad(p, p_plus, config.lam)
         grad = grad - grad.min()  # additive shifts cancel in the normalization
         step = 1.0
-        accepted = False
         for _ in range(60):
             q = p * np.exp(-step * grad)
             q = np.maximum(q / q.sum(), 1e-300)
             q = q / q.sum()
             new_obj = generator_objective(q, p_plus, config.lam)
             if new_obj <= obj:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             # no representable step decreases the objective: numerically at the minimum
-            converged = True
-            break
+            return MinimizeResult(p=p, converged=True, iterations=iterations, objective=obj)
         delta = float(np.max(np.abs(q - p)))
         p, obj = q, new_obj
         if delta < config.tol:
-            converged = True
-            break
-    return MinimizeResult(p=p, converged=converged, iterations=iterations, objective=obj)
+            return MinimizeResult(p=p, converged=True, iterations=iterations, objective=obj)
+    return MinimizeResult(p=p, converged=False, iterations=config.max_iters, objective=obj)
 
 
 def fixed_point_residual(p, p_plus, lam):

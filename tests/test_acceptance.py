@@ -39,8 +39,8 @@ from advclf.cli import main as cli_main
 from advclf.data import (
     SplitSpec,
     SynthSpec,
-    split_dataset,
-    standardize,
+    column_statistics,
+    split_rows,
     synth_gaussian_imbalanced,
 )
 from advclf.graph import link_predict_eval, split_edges, train_graph
@@ -300,6 +300,15 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
 
 
+def _standardized_split(data, seed):
+    """The split advclf train makes: split_rows, then the table standardised in place by the training rows."""
+    parts = split_rows(data.labels, SplitSpec(seed=seed))
+    mean, std = column_statistics(data.features, parts[0])
+    data.features -= mean
+    data.features /= std
+    return parts
+
+
 # --- 6. batch-weight entropy rises with the regularizer --------------------
 
 
@@ -308,8 +317,7 @@ def test_criterion_06_entropy_monotone_in_lambda(_log):
     data = synth_gaussian_imbalanced(
         SynthSpec(n_total=2000, imbalance_ratio=10.0, dim=2, class_separation=2.0, seed=0)
     )
-    train_set, _, _ = split_dataset(data, SplitSpec(seed=0))
-    (train_set,), _, _ = standardize(train_set)
+    train_rows, _, _ = _standardized_split(data, 0)
     m = 32
     lams = (0.0, 0.1, 1.0, 10.0)
     medians = []
@@ -320,7 +328,7 @@ def test_criterion_06_entropy_monotone_in_lambda(_log):
                 batch_size=m, pretrain_iters=100, train_iters=400,
                 eta_g=5.0, lam=lam, seed=seed,
             )
-            _, _, trace, _ = train(config, train_set, ARCH_PRESETS["shallow"])
+            _, _, trace, _ = train(config, data, ARCH_PRESETS["shallow"], rows=train_rows)
             finals.append(trace.weight_entropy[-1])
         medians.append(float(np.median(finals)))
     gap = abs(math.log(m) - medians[-1])
@@ -350,13 +358,13 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
             SynthSpec(n_total=5000, imbalance_ratio=50.0, dim=2,
                       class_separation=2.0, seed=seed)
         )
-        train_set, val_set, test_set = split_dataset(data, SplitSpec(seed=seed))
-        (train_set, val_set, test_set), _, _ = standardize(train_set, val_set, test_set)
+        train_rows, _, test_rows = _standardized_split(data, seed)
         config = TrainConfig(seed=seed)
         # the pretraining-only baseline: the same warm-up continued on the adversarial run's batches
-        adv, _, _, (base,) = train(config, train_set, ARCH_PRESETS["shallow"])
-        auc_adv = evaluate_binary(predict(adv, test_set.features), test_set.labels).auc
-        auc_base = evaluate_binary(predict(base, test_set.features), test_set.labels).auc
+        adv, _, _, (base,) = train(config, data, ARCH_PRESETS["shallow"], rows=train_rows)
+        test_x, test_y = data.features[test_rows], data.labels[test_rows]
+        auc_adv = evaluate_binary(predict(adv, test_x), test_y).auc
+        auc_base = evaluate_binary(predict(base, test_x), test_y).auc
         wins += auc_adv >= auc_base
         uplifts.append(auc_adv - auc_base)
     median_uplift = float(np.median(uplifts))

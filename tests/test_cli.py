@@ -351,6 +351,15 @@ def test_config_file_bad_value(capsys, tmp_path):
      "argument --reference: expected one of letter_img, mammography, pen_digits, protein_homo, webpage,"
      " got 'bogus'"),
     (["train", "--config", "synth = maybe"], "error: config key synth: expected a boolean, got 'maybe'"),
+    # the config reader's own rejections: a key set twice, in either spelling, and unknown keys as spelled
+    (["train", "--synth", "--config", "seed = 1\nseed = 2"],
+     "error: run.cfg line 2: key 'seed' repeats 'seed' of line 1"),
+    (["train", "--synth", "--config", "lam = 0.5\n# lambda is lam\nlambda = 0.7"],
+     "error: run.cfg line 3: key 'lambda' repeats 'lam' of line 1"),
+    (["train", "--synth", "--config", "batch-size = 8\nbatch_size = 8"],
+     "error: run.cfg line 2: key 'batch_size' repeats 'batch-size' of line 1"),
+    (["synth", "--out", "x.csv", "--config", "lambda = 1\nsynth-dim = 2"],
+     "error: unknown config keys: ['lambda', 'synth-dim']"),
 ])
 def test_rejected_value_reason_reaches_the_user(capsys, tmp_path, monkeypatch, argv, reason):
     """A converter's ConfigError text is the message, from a flag or a config file, with exit 2."""
@@ -527,6 +536,26 @@ def test_output_path_that_is_a_directory_exits_1_before_data_is_read(capsys, tmp
     assert code == 1
     assert out == ""
     assert err == "error: cannot write outdir: it is a directory\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--synth", "--out-report", "same.out", "--out-trace", "./same.out"],
+     "--out-report and --out-trace both name ./same.out"),
+    (["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--out-report", "same.out",
+      "--out-embeddings", "same.out"], "--out-embeddings and --out-report both name same.out"),
+])
+def test_two_outputs_that_name_one_file_exit_1_before_data_is_read(capsys, tmp_path, monkeypatch, argv,
+                                                                   message):
+    """The file written last would silently replace the other."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("load_csv", "load_edge_list", "load_node_labels", "synth_gaussian_imbalanced", "train",
+                 "train_graph"):
+        monkeypatch.setattr(f"advclf.cli.{name}", fail_if_called)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "same.out").exists()
 
 
 # --- synth subcommand ---

@@ -374,6 +374,11 @@ class TestStandardize:
         (tr, te), mean, std = standardize(train, test)
         assert te.features[0, 0] == 0.0  # equals the train mean
 
+    def test_empty_training_set_rejected(self):
+        empty = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(DataError, match=r"^cannot standardize an empty training set$"):
+            standardize(empty)
+
 
 class TestSynth:
     def test_pen_digits_scale_counts(self):
@@ -419,6 +424,10 @@ class TestSynth:
             SynthSpec(n_total=100, imbalance_ratio=1.0)
         with pytest.raises(ConfigError):
             SynthSpec(n_total=100, imbalance_ratio=5.0, dim=0)
+
+    def test_fewer_than_three_rows_rejected(self):
+        with pytest.raises(ConfigError, match=r"^n_total must be >= 3$"):
+            SynthSpec(n_total=2)
 
 
 class TestResampling:

@@ -31,6 +31,7 @@ from advclf.graph import (
     predict_pairs,
     PairBatch,
     _fit_predict_logistic,
+    check_probe_settings,
     _scatter_rows,
     sample_non_edges,
     sample_pair_batch,
@@ -984,6 +985,11 @@ def test_node_classification_validation():
         node_classification_eval(emb, np.eye(2)[[0, 0, 0]], 0.9, 10, 0)
     with pytest.raises(ConfigError, match="train_frac"):
         node_classification_eval(emb, np.eye(2)[[0, 1, 0, 1]], 1.0, 10, 0)
+
+
+def test_probe_settings_need_a_label_shuffle():
+    with pytest.raises(ConfigError, match=r"^need at least one label shuffle, got 0$"):
+        check_probe_settings(np.eye(2)[[0, 1, 0, 1]], 4, 0.5, 0)
 
 
 def test_node_classification_deterministic():

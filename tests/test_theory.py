@@ -310,3 +310,8 @@ def test_residual_input_validation():
         fixed_point_residual([0.5, 0.5], [0.2, 0.3, 0.5], 0.0)
     with pytest.raises(ConfigError):
         fixed_point_residual([0.5, 0.5], [0.5, 0.5], -0.5)
+
+
+def test_residual_rejects_a_power_that_underflows_to_zero():
+    with pytest.raises(ConfigError, match=r"^p\^\(lam\+1\) sums to zero$"):
+        fixed_point_residual([0.5, 0.5], [0.5, 0.5], 2000.0)
