@@ -32,7 +32,7 @@ from .data import (
     synth_gaussian_imbalanced,
     undersample_majority,
 )
-from .errors import ConfigError, DataError, MetricsError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .graph import (
     check_probe_settings,
     link_predict_eval,
@@ -180,9 +180,13 @@ def _synth_spec(opts, prefix):
     return SynthSpec(n_total=n, imbalance_ratio=ir, dim=dim, class_separation=sep, seed=opts["seed"])
 
 
-def _check_out_dirs(opts):
-    """Raise before any data is read, not after the run, for output paths that cannot name distinct files."""
-    key_of = {}
+def _check_out_dirs(opts, config):
+    """Raise before any data is read, not after the run, for output paths that cannot name distinct files.
+
+    An output path may name neither another output nor an input: --data, --edges, --labels or --config.
+    """
+    key_of = {Path(path).resolve(): key for key, path in {**opts, "config": config}.items()
+              if key in ("data", "edges", "labels", "config") and path}
     for key, path in opts.items():
         if (key == "out" or key.startswith("out_")) and path:
             if Path(path).is_dir():
@@ -271,7 +275,7 @@ def cmd_train(args):
     if bool(opts["data"]) == bool(opts["synth"]):
         raise ConfigError("provide exactly one of --data or --synth")
     config = _config(TrainConfig, opts)
-    _check_out_dirs(opts)
+    _check_out_dirs(opts, args.config)
     started = time.monotonic()
     if opts["synth"]:
         data = synth_gaussian_imbalanced(_synth_spec(opts, "synth_"))
@@ -280,12 +284,6 @@ def cmd_train(args):
     # one table from here on: the split parts and the baselines are row indices into it
     train_rows, val_rows, test_rows = split_rows(data.labels, SplitSpec(seed=opts["seed"]))
     train_labels, val_labels, test_labels = (data.labels[rows] for rows in (train_rows, val_rows, test_rows))
-    # a class of 3 rows splits 2/1/0, and an AUC without both classes would fail after the run
-    for part, labels in (("validation", val_labels), ("test", test_labels)):
-        n_pos, n_neg = _class_counts(labels)
-        if not (n_pos and n_neg):
-            raise DataError(f"the {part} part has {n_pos} positive and {n_neg} negative rows; "
-                            "it needs both classes")
     if opts["standardize"]:
         # the whole table in place, by the training rows' statistics
         mean, std = column_statistics(data.features, train_rows)
@@ -383,7 +381,7 @@ def cmd_graph(args):
     if not opts["edges"]:
         raise ConfigError("--edges is required")
     config = _config(TrainConfig, opts)
-    _check_out_dirs(opts)
+    _check_out_dirs(opts, args.config)
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
     train_edges, test_pos, test_neg = split_edges(graph, opts["test_frac"], opts["seed"])
@@ -459,7 +457,7 @@ def cmd_theory(args):
     opts = _resolve(args, THEORY_OPTIONS)
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
     config = _config(TheoryConfig, opts)
-    _check_out_dirs(opts)
+    _check_out_dirs(opts, args.config)
     result = minimize_generator(p_plus, config)
     payload = {
         "lambda": opts["lam"],
@@ -488,7 +486,7 @@ def cmd_synth(args):
     if not opts["out"]:
         raise ConfigError("--out is required")
     spec = _synth_spec(opts, "")
-    _check_out_dirs(opts)
+    _check_out_dirs(opts, args.config)
     data = synth_gaussian_imbalanced(spec)
     save_csv(opts["out"], data)
     n_pos, n_neg = _class_counts(data.labels)
@@ -554,7 +552,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, TrainingError, MetricsError, OSError) as exc:
+    except (DataError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

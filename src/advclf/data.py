@@ -233,8 +233,8 @@ def split_rows(labels, spec):
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
     for name, idx in (("positive", pos), ("negative", neg)):
-        if len(idx) < 3:
-            raise DataError(f"stratified split needs >= 3 {name} samples, have {len(idx)}")
+        if len(idx) < 4:  # the fewest rows that leave one in each of the three parts
+            raise DataError(f"stratified split needs >= 4 {name} samples, have {len(idx)}")
     parts = ([], [], [])
     for idx in (pos, neg):
         shuffled = rng.permutation(idx)

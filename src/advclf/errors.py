@@ -2,8 +2,8 @@
 
 ConfigError marks bad settings or shapes (a caller bug), DataError marks
 problems with input files or datasets, TrainingError marks numeric failures
-during optimization, MetricsError marks undefined metric requests. The CLI
-maps ConfigError to exit code 2 and the rest to exit code 1.
+during optimization. The CLI maps ConfigError to exit code 2 and the rest to
+exit code 1.
 """
 
 
@@ -16,8 +16,4 @@ class DataError(Exception):
 
 
 class TrainingError(RuntimeError):
-    pass
-
-
-class MetricsError(ValueError):
     pass

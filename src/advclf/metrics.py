@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricsError
+from .errors import ConfigError, DataError
 
 
 def confusion(preds, labels):
@@ -12,9 +12,9 @@ def confusion(preds, labels):
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
-        raise MetricsError(f"shape mismatch: {preds.shape} vs {labels.shape}")
+        raise ConfigError(f"shape mismatch: {preds.shape} vs {labels.shape}")
     if preds.size == 0:
-        raise MetricsError("empty predictions")
+        raise ConfigError("empty predictions")
     tp = int(np.count_nonzero((preds == 1) & (labels == 1)))
     fp = int(np.count_nonzero((preds == 1) & (labels == 0)))
     tn = int(np.count_nonzero((preds == 0) & (labels == 0)))
@@ -39,20 +39,20 @@ def auc_roc(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
-        raise MetricsError("scores and labels differ in length")
-    if scores.size and not np.all(np.isfinite(scores)):
-        raise MetricsError("scores must be finite")
+        raise ConfigError("scores and labels differ in length")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores must be finite")
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = int(np.count_nonzero(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise MetricsError("AUC needs at least one positive and one negative label")
+        raise DataError("AUC needs at least one positive and one negative label")
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     # runs of equal sorted scores span [start, end); each gets the 1-based midrank
     start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     end = np.r_[start[1:], s.size]
     ranks = np.repeat(0.5 * (start + end + 1), end - start)
-    rank_sum = float(np.sum(ranks[np.asarray(labels)[order] == 1]))
+    rank_sum = float(np.sum(ranks[labels[order] == 1]))
     return (rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 
 
@@ -64,7 +64,7 @@ def macro_micro_f1(per_class_counts):
     """
     counts = [(int(tp), int(fp), int(fn)) for tp, fp, fn in per_class_counts]
     if not counts:
-        raise MetricsError("need at least one class")
+        raise ConfigError("need at least one class")
     f1s = [precision_recall_f1(tp, fp, fn)[2] for tp, fp, fn in counts]
     macro = float(np.mean(f1s))
     pooled = tuple(sum(c[i] for c in counts) for i in range(3))

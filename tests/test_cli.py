@@ -223,12 +223,12 @@ def test_train_on_csv_written_by_synth(capsys, tmp_path):
 
 
 def test_train_split_part_without_a_class_exits_1_before_training(capsys, monkeypatch):
-    """3 positives split 2/1/0: the test part has none, and its AUC would fail after the whole run."""
+    """3 positives would split 2/1/0: the test part would have none, and its AUC would fail after the whole run."""
     monkeypatch.setattr("advclf.cli.train", fail_if_called)
     code, out, err = run_cli(capsys, ["train", "--synth", "--synth-n", "124", "--synth-ir", "40"])
     assert code == 1
     assert out == ""
-    assert "error: the test part has 0 positive and 24 negative rows; it needs both classes" in err
+    assert "error: stratified split needs >= 4 positive samples, have 3" in err
 
 
 def test_train_csv_without_a_feature_column_exits_1(capsys, tmp_path, monkeypatch):
@@ -543,10 +543,15 @@ def test_output_path_that_is_a_directory_exits_1_before_data_is_read(capsys, tmp
      "--out-report and --out-trace both name ./same.out"),
     (["graph", "--edges", "edges.txt", "--labels", "labels.txt", "--out-report", "same.out",
       "--out-embeddings", "same.out"], "--out-embeddings and --out-report both name same.out"),
+    (["train", "--data", "same.out", "--out-report", "./same.out"], "--data and --out-report both name ./same.out"),
+    (["graph", "--edges", "same.out", "--out-embeddings", "same.out"],
+     "--edges and --out-embeddings both name same.out"),
+    (["graph", "--edges", "edges.txt", "--labels", "same.out", "--out-report", "same.out"],
+     "--labels and --out-report both name same.out"),
 ])
 def test_two_outputs_that_name_one_file_exit_1_before_data_is_read(capsys, tmp_path, monkeypatch, argv,
                                                                    message):
-    """The file written last would silently replace the other."""
+    """The file written last would silently replace the other, or the output the input it was read from."""
     monkeypatch.chdir(tmp_path)
     for name in ("load_csv", "load_edge_list", "load_node_labels", "synth_gaussian_imbalanced", "train",
                  "train_graph"):
@@ -556,6 +561,17 @@ def test_two_outputs_that_name_one_file_exit_1_before_data_is_read(capsys, tmp_p
     assert out == ""
     assert err == f"error: {message}\n"
     assert not (tmp_path / "same.out").exists()
+
+
+def test_output_that_names_the_config_file_exits_1_and_leaves_it(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("advclf.cli.minimize_generator", fail_if_called)
+    (tmp_path / "c.cfg").write_text("seed = 3\n")
+    code, out, err = run_cli(capsys, ["theory", "--config", "c.cfg", "--out", "c.cfg"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: --config and --out both name c.cfg\n"
+    assert (tmp_path / "c.cfg").read_text() == "seed = 3\n"
 
 
 # --- synth subcommand ---

@@ -264,59 +264,61 @@ def test_load_csv_rejects_a_file_whose_rows_changed_between_its_passes(tmp_path,
 
 class TestSplit:
     def test_sizes_6_2_2(self):
-        data = small_dataset(n=10)
-        tr, va, te = split_dataset(data, SplitSpec(seed=0))
-        assert (tr.n, va.n, te.n) == (6, 2, 2)
+        labels = np.array([1] * 4 + [0] * 6)
+        tr, va, te = split_rows(labels, SplitSpec(seed=0))
+        assert (len(tr), len(va), len(te)) == (6, 2, 2)
 
     def test_partition_is_disjoint_and_exhaustive(self):
         data = small_dataset(n=37, seed=5)
-        tr, va, te = split_dataset(data, SplitSpec(seed=1))
-        rows = np.vstack([tr.features, va.features, te.features])
-        assert rows.shape[0] == data.n
-        # every original row appears exactly once
-        original = {tuple(r) for r in data.features}
-        recovered = [tuple(r) for r in rows]
-        assert len(recovered) == len(set(recovered))
-        assert set(recovered) == original
+        parts = split_rows(data.labels, SplitSpec(seed=1))
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(data.n))
 
     def test_stratified_positive_counts(self):
-        rng = np.random.default_rng(0)
         labels = np.zeros(100, dtype=np.int64)
         labels[:10] = 1
-        data = LabeledDataset(rng.standard_normal((100, 2)), labels)
-        tr, va, te = split_dataset(data, SplitSpec(seed=2))
-        assert abs(np.count_nonzero(tr.labels == 1) - 6) <= 1
-        assert abs(np.count_nonzero(va.labels == 1) - 2) <= 1
-        assert abs(np.count_nonzero(te.labels == 1) - 2) <= 1
+        tr, va, te = split_rows(labels, SplitSpec(seed=2))
+        assert abs(np.count_nonzero(labels[tr] == 1) - 6) <= 1
+        assert abs(np.count_nonzero(labels[va] == 1) - 2) <= 1
+        assert abs(np.count_nonzero(labels[te] == 1) - 2) <= 1
 
     def test_deterministic_in_seed(self):
         data = small_dataset(n=30, seed=9)
-        a = split_dataset(data, SplitSpec(seed=7))
-        b = split_dataset(data, SplitSpec(seed=7))
+        a = split_rows(data.labels, SplitSpec(seed=7))
+        b = split_rows(data.labels, SplitSpec(seed=7))
         for x, y in zip(a, b):
-            assert np.array_equal(x.features, y.features)
-        c = split_dataset(data, SplitSpec(seed=8))
-        assert not all(np.array_equal(x.features, y.features) for x, y in zip(a, c))
+            assert np.array_equal(x, y)
+        c = split_rows(data.labels, SplitSpec(seed=8))
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_tiny_class_rejected(self):
-        rng = np.random.default_rng(0)
         labels = np.zeros(20, dtype=np.int64)
         labels[:2] = 1
-        data = LabeledDataset(rng.standard_normal((20, 2)), labels)
         with pytest.raises(DataError):
-            split_dataset(data, SplitSpec(seed=0))
+            split_rows(labels, SplitSpec(seed=0))
+
+    @pytest.mark.parametrize("name,cls", [("positive", 1), ("negative", 0)])
+    def test_every_part_holds_a_class_of_4_or_more(self, name, cls):
+        """4 rows is the fewest that the 60/20/20 cut leaves one of in each part; 3 split 2/1/0."""
+        for size in range(3, 61):
+            labels = np.full(size + 10, 1 - cls)
+            labels[:size] = cls
+            if size == 3:
+                with pytest.raises(DataError, match=f"stratified split needs >= 4 {name} samples, have 3"):
+                    split_rows(labels, SplitSpec(seed=size))
+                continue
+            for rows in split_rows(labels, SplitSpec(seed=size)):
+                assert np.count_nonzero(labels[rows] == cls) >= 1, (size, rows)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=20, max_value=200), st.integers(min_value=0, max_value=2**31))
     def test_split_fuzz_partition(self, n, seed):
         rng = np.random.default_rng(seed % 1000)
         labels = np.zeros(n, dtype=np.int64)
-        labels[: max(3, n // 7)] = 1
+        labels[: max(4, n // 7)] = 1
         rng.shuffle(labels)
-        data = LabeledDataset(rng.standard_normal((n, 2)), labels)
-        tr, va, te = split_dataset(data, SplitSpec(seed=seed))
-        assert tr.n + va.n + te.n == n
-        assert sum(np.count_nonzero(part.labels == 1) for part in (tr, va, te)) == int(labels.sum())
+        parts = split_rows(labels, SplitSpec(seed=seed))
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+        assert sum(np.count_nonzero(labels[rows] == 1) for rows in parts) == int(labels.sum())
 
 
 @settings(max_examples=30, deadline=None)
@@ -324,7 +326,7 @@ class TestSplit:
 def test_split_dataset_is_the_gather_of_split_rows(n, seed):
     rng = np.random.default_rng(seed % 1000)
     labels = (rng.random(n) < 0.2).astype(np.int64)
-    labels[:3], labels[3:6] = 1, 0
+    labels[:4], labels[4:8] = 1, 0
     data = LabeledDataset(rng.standard_normal((n, 3)), labels)
     parts = split_dataset(data, SplitSpec(seed=seed))
     for part, rows in zip(parts, split_rows(data.labels, SplitSpec(seed=seed)), strict=True):

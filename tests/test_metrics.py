@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advclf.errors import MetricsError
+from advclf.errors import ConfigError, DataError
 from advclf.metrics import (
     auc_roc,
     confusion,
@@ -49,7 +49,7 @@ def test_auc_all_tied_scores():
 
 
 def test_auc_single_class_rejected():
-    with pytest.raises(MetricsError):
+    with pytest.raises(DataError):
         auc_roc([0.1, 0.9], [1, 1])
 
 
@@ -123,16 +123,19 @@ def test_macro_micro_empty_class_counts_as_zero():
     assert micro == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("metric, args, message", [
-    (confusion, ([1, 0], [1]), r"shape mismatch: \(2,\) vs \(1,\)"),
-    (confusion, ([], []), "empty predictions"),
-    (auc_roc, ([0.2, 0.7], [1]), "scores and labels differ in length"),
-    (auc_roc, ([0.2, np.nan, 0.7], [1, 0, 1]), "scores must be finite"),
-    (auc_roc, ([0.2, np.inf], [1, 0]), "scores must be finite"),
-    (macro_micro_f1, ([],), "need at least one class"),
-], ids=["confusion-shapes", "confusion-empty", "auc-lengths", "auc-nan", "auc-inf", "macro-micro-no-class"])
-def test_metric_rejects_input_it_cannot_score(metric, args, message):
-    with pytest.raises(MetricsError, match=message):
+@pytest.mark.parametrize("metric, args, kind, message", [
+    (confusion, ([1, 0], [1]), ConfigError, r"shape mismatch: \(2,\) vs \(1,\)"),
+    (confusion, ([], []), ConfigError, "empty predictions"),
+    (auc_roc, ([0.2, 0.7], [1]), ConfigError, "scores and labels differ in length"),
+    (auc_roc, ([0.2, np.nan, 0.7], [1, 0, 1]), DataError, "scores must be finite"),
+    (auc_roc, ([0.2, np.inf], [1, 0]), DataError, "scores must be finite"),
+    (macro_micro_f1, ([],), ConfigError, "need at least one class"),
+    (auc_roc, ([], []), DataError, "AUC needs at least one positive"),
+], ids=["confusion-shapes", "confusion-empty", "auc-lengths", "auc-nan", "auc-inf", "macro-micro-no-class",
+        "auc-empty"])
+def test_metric_rejects_input_it_cannot_score(metric, args, kind, message):
+    """A caller's shape fault is a ConfigError; scores that cannot be scored are a DataError."""
+    with pytest.raises(kind, match=message):
         metric(*args)
 
 
