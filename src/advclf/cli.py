@@ -126,7 +126,7 @@ class Option(NamedTuple):
 def load_config_file(path):
     """Flat key=value lines, '#' comments: {normalized key: (spelling, line number, value)}; no key twice."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"no such config file: {path}")
     out = {}
     try:

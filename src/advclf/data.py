@@ -114,6 +114,8 @@ def load_csv(path, label_column, positive_label):
             header = [h.strip() for h in rows.pop(0)[1].split(",")]
             if label_column not in header:
                 raise DataError(f"{path}: no column named {label_column!r} in header {header}")
+            if header.count(label_column) > 1:
+                raise DataError(f"{path}: column {label_column!r} named more than once in header {header}")
             if len(header) == 1:
                 raise DataError(f"{path}: no feature column besides {label_column!r}")
             label_idx = header.index(label_column)

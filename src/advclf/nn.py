@@ -10,8 +10,7 @@ what backward returns is what sgd_step takes. forward and backward return
 fresh arrays, so repeated calls with the same inputs are reproducible bit
 for bit. sgd_step is the one operation that changes a net: it updates its
 arrays in place, after checking every gradient, so a step that raises
-leaves the net as it was. finite_difference_grad is the deliberately slow
-oracle that backward is checked against.
+leaves the net as it was.
 """
 
 import numpy as np
@@ -58,10 +57,6 @@ def init_mlp(dims, rng):
     return params
 
 
-def clone_params(params):
-    return [(weight.copy(), bias.copy()) for weight, bias in params]
-
-
 def forward(params, batch):
     """Run the net on an (n, in_dim) batch, or a stack of K nets on a (K, n, in_dim) batch.
 
@@ -101,28 +96,6 @@ def backward(params, activations, output_grad):
         grads[i] = (activations[i].swapaxes(-1, -2) @ delta, delta.sum(axis=-2, keepdims=delta.ndim > 2))
         delta = delta @ params[i][0].swapaxes(-1, -2)
     return grads, delta
-
-
-def finite_difference_grad(loss_fn, params):
-    """Central-difference gradient of loss_fn(params), one entry at a time, with step 1e-5."""
-    epsilon = 1e-5
-    work = clone_params(params)
-    grads = []
-    for layer in work:
-        pair = []
-        for arr in layer:
-            g = np.zeros_like(arr)
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + epsilon
-                hi = loss_fn(work)
-                arr[idx] = orig - epsilon
-                lo = loss_fn(work)
-                arr[idx] = orig
-                g[idx] = (hi - lo) / (2.0 * epsilon)
-            pair.append(g)
-        grads.append(tuple(pair))
-    return grads
 
 
 def sgd_step(params, grads, step):

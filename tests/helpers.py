@@ -36,7 +36,6 @@ from advclf.graph import (
 from advclf.metrics import confusion, evaluate_binary, macro_micro_f1
 from advclf.nn import (
     backward,
-    finite_difference_grad,
     forward,
     sgd_step,
     sigmoid,
@@ -153,6 +152,44 @@ def stack_of(nets):
     return [(np.stack([w for w, _ in layer]), np.stack([b[None] for _, b in layer])) for layer in zip(*nets)]
 
 
+def per_net(stack, batch):
+    """The one batch for every net of the stack, as the (K, n, in) view forward takes."""
+    return np.broadcast_to(batch, (len(stack[0][0]), *np.shape(batch)))
+
+
+FD_EPSILON = 1e-5
+FD_CHUNK = 64  # entries per stack: their +eps and -eps copies make 128 nets
+
+
+def finite_difference_grad(stack_loss, params):
+    """Central-difference gradient of a net's loss, entry by entry, with step 1e-5.
+
+    The oracle that backward is checked against. stack_loss takes a stack
+    of K nets of params' shape and returns their K losses. The stack holds
+    2 * FD_CHUNK copies of params; for each chunk of entries, net 2j carries
+    entry j's +eps and net 2j + 1 its -eps, and both are set back after the
+    stack's one evaluation. A stack runs each net bit for bit as alone, so a
+    loss that reduces over the last axes gives the differences a loop over
+    lone nets would.
+    """
+    arrays = [arr for pair in params for arr in pair]
+    entries = [(a, i) for a, arr in enumerate(arrays) for i in range(arr.size)]
+    stack = stack_of([params] * (2 * FD_CHUNK))
+    rows = [arr.reshape(len(arr), -1) for pair in stack for arr in pair]  # views: row k holds net k's entries
+    grads = [np.zeros_like(arr) for arr in arrays]
+    for start in range(0, len(entries), FD_CHUNK):
+        chunk = entries[start : start + FD_CHUNK]
+        for j, (a, i) in enumerate(chunk):
+            orig = arrays[a].flat[i]
+            rows[a][2 * j, i] = orig + FD_EPSILON
+            rows[a][2 * j + 1, i] = orig - FD_EPSILON
+        losses = stack_loss(stack)
+        for j, (a, i) in enumerate(chunk):
+            rows[a][2 * j : 2 * j + 2, i] = arrays[a].flat[i]
+            grads[a].flat[i] = (losses[2 * j] - losses[2 * j + 1]) / (2.0 * FD_EPSILON)
+    return list(zip(grads[::2], grads[1::2]))
+
+
 def grad_rel_error(analytic, numeric):
     """Max absolute difference scaled by the largest gradient magnitude seen."""
     a = np.concatenate([g.ravel() for g in analytic])
@@ -250,18 +287,6 @@ def block_oracle_eval(block_sizes, test_pos, test_neg):
     labels = np.concatenate([np.ones(len(test_pos), dtype=int), np.zeros(len(test_neg), dtype=int)])
     scores = (block_of[pairs[:, 0]] == block_of[pairs[:, 1]]).astype(np.float64)
     return evaluate_binary(scores, labels)
-
-
-def check_backward_vs_fd(params, loss_and_grads):
-    """Relative error between backward() gradients and finite differences.
-
-    loss_and_grads(params) must return (loss, grads) where grads is the
-    [(dW, db), ...] list from backward(); the finite-difference side
-    re-evaluates only the loss.
-    """
-    _, grads = loss_and_grads(params)
-    numeric = finite_difference_grad(lambda p: loss_and_grads(p)[0], params)
-    return grad_rel_error(flatten_param_grads(grads), flatten_param_grads(numeric))
 
 
 # One-try-at-a-time samplers: advclf.graph's block sampler must reproduce

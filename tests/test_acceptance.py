@@ -16,6 +16,7 @@ pairs; see README.md for the numbers.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -47,8 +48,6 @@ from advclf.graph import link_predict_eval, split_edges, train_graph
 from advclf.metrics import auc_roc, evaluate_binary
 from advclf.nn import (
     backward,
-    clone_params,
-    finite_difference_grad,
     forward,
     init_mlp,
     sigmoid,
@@ -65,8 +64,10 @@ from advclf.theory import (
 from helpers import (
     auc_pair_count,
     block_oracle_eval,
+    finite_difference_grad,
     flatten_param_grads,
     grad_rel_error,
+    per_net,
     sbm_graph,
 )
 
@@ -103,8 +104,8 @@ def _grad_check_case(dims, seed):
     x = rng.normal(size=(3, dims[0]))
     c = rng.normal(size=(3, 1))
 
-    def loss_only(p):
-        return float(np.sum(c * softplus(forward(p, x)[-1])))
+    def loss_only(stack):
+        return np.sum(c * softplus(forward(stack, per_net(stack, x))[-1]), axis=(-2, -1))
 
     acts = forward(params, x)
     analytic, _ = backward(params, acts, c * sigmoid(acts[-1]))
@@ -274,9 +275,9 @@ def test_criterion_05_uniform_generator_reduces_to_pretraining(_log):
     flat_gen = [(np.zeros_like(weight), np.zeros_like(bias)) for weight, bias in seeded]
     config = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.3, seed=0)
     # each step updates its own copy of disc in place
-    plain, _ = pretrain_step(clone_params(disc), pos, neg, config.eta_d)
+    plain, _ = pretrain_step(copy.deepcopy(disc), pos, neg, config.eta_d)
     adversarial, _ = discriminator_step(
-        config, clone_params(disc), pos, neg, generator_batch_weights(flat_gen, neg)[0]
+        config, copy.deepcopy(disc), pos, neg, generator_batch_weights(flat_gen, neg)[0]
     )
 
     def distance(x, y):

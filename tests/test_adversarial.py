@@ -1,5 +1,7 @@
 """Tests for the adversarial re-weighting training loop."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,6 @@ from advclf.data import (
 )
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.nn import (
-    clone_params,
-    finite_difference_grad,
     forward,
     softplus,
     stable_log_one_minus_sigmoid,
@@ -42,8 +42,10 @@ from advclf.theory import TheoryConfig
 from helpers import (
     array_bits,
     best_response,
+    finite_difference_grad,
     flatten_param_grads,
     grad_rel_error,
+    per_net,
     stack_of,
     train_four_alone,
     warmup_only,
@@ -201,8 +203,8 @@ def test_gamma_zero_ignores_negatives():
     neg1 = rng.standard_normal((3, 2))
     neg2 = rng.standard_normal((3, 2)) + 7.0
     # the step updates its model in place, so each starts from its own copy
-    d1, _ = discriminator_step(cfg, clone_params(disc), pos, neg1, generator_batch_weights(gen, neg1)[0])
-    d2, _ = discriminator_step(cfg, clone_params(disc), pos, neg2, generator_batch_weights(gen, neg2)[0])
+    d1, _ = discriminator_step(cfg, copy.deepcopy(disc), pos, neg1, generator_batch_weights(gen, neg1)[0])
+    d2, _ = discriminator_step(cfg, copy.deepcopy(disc), pos, neg2, generator_batch_weights(gen, neg2)[0])
     assert max_param_diff(d1, disc) > 0.0
     assert_params_equal(d1, d2)
 
@@ -217,8 +219,8 @@ def test_reduction_identity_matches_pretrain():
     neg = rng.standard_normal((m, 3))
     cfg = TrainConfig(batch_size=m, gamma=1.0 / m, lam=0.0, eta_d=0.2)
     w, _ = generator_batch_weights(gen, neg)
-    d_adv, loss_adv = discriminator_step(cfg, clone_params(disc), pos, neg, w)
-    d_pre, loss_pre = pretrain_step(clone_params(disc), pos, neg, cfg.eta_d)
+    d_adv, loss_adv = discriminator_step(cfg, copy.deepcopy(disc), pos, neg, w)
+    d_pre, loss_pre = pretrain_step(copy.deepcopy(disc), pos, neg, cfg.eta_d)
     assert max_param_diff(d_pre, disc) > 0.0
     assert max_param_diff(d_adv, d_pre) <= 1e-12
     assert abs(loss_adv - loss_pre) <= 1e-12
@@ -236,14 +238,14 @@ def test_disc_step_recovers_gradient():
     w, _ = generator_batch_weights(gen, neg)
     coeff = cfg.gamma * m * w
 
-    def objective(params):
-        s_pos = forward(params, pos)[-1][:, 0]
-        s_neg = forward(params, neg)[-1][:, 0]
-        return float(
-            np.mean(stable_log_sigmoid(s_pos)) + np.sum(coeff * stable_log_one_minus_sigmoid(s_neg))
+    def objective(stack):
+        s_pos = forward(stack, per_net(stack, pos))[-1][..., 0]
+        s_neg = forward(stack, per_net(stack, neg))[-1][..., 0]
+        return np.mean(stable_log_sigmoid(s_pos), axis=-1) + np.sum(
+            coeff * stable_log_one_minus_sigmoid(s_neg), axis=-1
         )
 
-    new_disc, _ = discriminator_step(cfg, clone_params(disc), pos, neg, w)
+    new_disc, _ = discriminator_step(cfg, copy.deepcopy(disc), pos, neg, w)
     assert max_param_diff(new_disc, disc) > 0.0
     analytic = [
         ((w_new - w_old) / cfg.eta_d, (b_new - b_old) / cfg.eta_d)
@@ -263,12 +265,12 @@ def test_gen_step_recovers_gradient():
     cfg = TrainConfig(batch_size=m, lam=0.3, eta_g=0.5)
     log_one_minus_d = stable_log_one_minus_sigmoid(discriminator_logits(disc, neg))
 
-    def objective(params):
-        raw = softplus(forward(params, neg)[-1][:, 0])
-        w = raw / raw.sum()
-        return float(np.sum(w * log_one_minus_d) + cfg.lam * np.sum(w * np.log(w)))
+    def objective(stack):
+        raw = softplus(forward(stack, per_net(stack, neg))[-1][..., 0])
+        w = raw / raw.sum(axis=-1, keepdims=True)
+        return np.sum(w * log_one_minus_d, axis=-1) + cfg.lam * np.sum(w * np.log(w), axis=-1)
 
-    new_gen, _ = generator_step(cfg, disc, clone_params(gen), forward(gen, neg))
+    new_gen, _ = generator_step(cfg, disc, copy.deepcopy(gen), forward(gen, neg))
     assert max_param_diff(new_gen, gen) > 0.0
     analytic = [
         ((w_old - w_new) / cfg.eta_g, (b_old - b_new) / cfg.eta_g)
@@ -641,9 +643,9 @@ def test_stacked_steps_match_lone_steps():
     cfg = TrainConfig(batch_size=9, gamma=0.3, eta_d=0.4)
     w, _ = generator_batch_weights(gen, neg[0])
     stack, losses = discriminator_step(cfg, stack_of(nets), pos, neg, w)
-    lone = [discriminator_step(cfg, clone_params(nets[0]), pos[0], neg[0], w)]
+    lone = [discriminator_step(cfg, copy.deepcopy(nets[0]), pos[0], neg[0], w)]
     for net, p, n in zip(nets[1:], pos[1:], neg[1:]):
-        lone.append(pretrain_step(clone_params(net), p, n, cfg.eta_d))
+        lone.append(pretrain_step(copy.deepcopy(net), p, n, cfg.eta_d))
     assert losses == [loss for _, loss in lone]
     assert net_bits(stack) == net_bits(stack_of([net for net, _ in lone]))
     stack, losses = pretrain_step(stack, pos, neg, cfg.eta_d)

@@ -1,4 +1,5 @@
-"""The benchmark's per-layer call counts and imports name advclf functions, and its set-up runs.
+"""The benchmark's per-layer call counts and imports name advclf functions, its set-up runs, and
+every public advclf function has a caller outside the tests.
 
 Its tracer wraps every public function of the measured modules, so a
 deleted or renamed function would leave its metric empty instead of failing.
@@ -17,6 +18,9 @@ from helpers import array_bits, c_reader_only, exact_parse_only
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 PERFBENCH = BENCHMARK.parent / "perfbench"
+PACKAGE = BENCHMARK.parent / "src" / "advclf"
+# The theory's closed forms, D* and V(D), kept as what the EG minimizer is measured against
+CALLED_FROM_TESTS_ONLY = {"theory.optimal_discriminator", "theory.value_v"}
 
 
 def test_every_traced_call_count_names_a_public_function():
@@ -88,3 +92,53 @@ def test_benchmark_setup_runs_on_each_workload_input(tmp_path):
 def test_package_init_file_exists():
     """perfbench/run.py exits 2 unless src/advclf/__init__.py is a file, though it holds only a docstring."""
     assert (BENCHMARK.parent / "src" / "advclf" / "__init__.py").is_file()
+
+
+def _references(path, module):
+    """(owner, "module.name") for each advclf name path's code uses, through the AST.
+
+    owner is the enclosing top-level function or class of a src module, or
+    None for module-level code and for every perfbench line.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {}
+    if module is not None:
+        names = {node.name: f"{module}.{node.name}" for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (node.level or node.module.startswith("advclf.")):
+            source = node.module.removeprefix("advclf.")
+            names.update({alias.asname or alias.name: f"{source}.{alias.name}" for alias in node.names})
+    for stmt in tree.body:
+        owner = None
+        if module is not None and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            owner = f"{module}.{stmt.name}"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield owner, names[node.id]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value).startswith("advclf."):
+                yield owner, f"{ast.unparse(node.value).removeprefix('advclf.')}.{node.attr}"
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """What only the tests call belongs in the tests: tests/helpers.py holds their oracles.
+
+    A public function counts as called when src/advclf's module-level code,
+    perfbench, a BENCHMARK.json per-layer name, or a function or class that
+    counts as called itself, uses it; a function only dead code calls is dead.
+    """
+    refs = [ref for path in sorted(PACKAGE.glob("*.py")) for ref in _references(path, path.stem)]
+    refs += [ref for path in sorted(PERFBENCH.glob("*.py")) for ref in _references(path, None)]
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    refs += [(None, m["name"].removesuffix(".calls")) for m in spec["per_layer"] if m["name"].endswith(".calls")]
+    called = set()
+    while (reached := {name for owner, name in refs if owner is None or owner in called}) != called:
+        called = reached
+    public = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert sorted(public - called - CALLED_FROM_TESTS_ONLY) == []
+    assert CALLED_FROM_TESTS_ONLY <= public - called, "an allowed name is gone or has a caller now"

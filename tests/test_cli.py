@@ -241,6 +241,16 @@ def test_train_csv_without_a_feature_column_exits_1(capsys, tmp_path, monkeypatc
     assert f"error: {csv}: no feature column besides 'label'" in err
 
 
+def test_train_csv_naming_the_label_column_twice_exits_1(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("advclf.cli.train", fail_if_called)
+    csv = tmp_path / "data.csv"
+    csv.write_text("a,label,label\n" + "".join(f"{i},{int(i % 4 == 0)},{int(i % 4 == 0)}\n" for i in range(40)))
+    code, out, err = run_cli(capsys, ["train", "--data", str(csv)])
+    assert code == 1
+    assert out == ""
+    assert f"error: {csv}: column 'label' named more than once in header ['a', 'label', 'label']" in err
+
+
 def test_train_csv_of_blank_lines_exits_1(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("advclf.cli.train", fail_if_called)
     csv = tmp_path / "data.csv"
@@ -418,11 +428,19 @@ def test_config_file_unknown_reference_exits_2_before_training(capsys, tmp_path,
     assert f"config key reference: expected one of {', '.join(sorted(REFERENCE_ROWS))}, got 'bogus'" in err
 
 
-def test_config_file_missing_or_malformed(tmp_path):
+def test_config_file_missing_or_malformed(capsys, tmp_path):
     from advclf.errors import ConfigError
 
     with pytest.raises(ConfigError, match="no such config"):
         load_config_file(tmp_path / "absent.cfg")
+    # a directory is no config file either: exit 2 with the missing file's reason, not 1 with an OS error
+    cfg_dir = tmp_path / "cfgdir"
+    cfg_dir.mkdir()
+    for cfg in (tmp_path / "absent.cfg", cfg_dir):
+        code, out, err = run_cli(capsys, small_train_args() + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert f"error: no such config file: {cfg}" in err
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError, match="key=value"):

@@ -68,6 +68,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no column named"):
             load_csv(f, "label", "1")
 
+    def test_label_column_named_twice(self, tmp_path):
+        """A second label column would otherwise load as a feature, leaking the label into the inputs."""
+        f = tmp_path / "d.csv"
+        f.write_text("a,label, label\n1,1,1\n2,0,0\n")
+        with pytest.raises(DataError, match="column 'label' named more than once in header"):
+            load_csv(f, "label", "1")
+
     def test_non_numeric_cell_names_line_and_column(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,y,label\n1.0,oops,1\n")

@@ -39,7 +39,7 @@ from advclf.graph import (
     split_edges,
     train_graph,
 )
-from advclf.nn import clone_params, forward
+from advclf.nn import forward
 from helpers import (
     array_bits,
     exact_parse_only,
@@ -616,7 +616,7 @@ def test_graph_gen_step_gradient_matches_finite_differences():
     cfg = TrainConfig(batch_size=4, lam=0.2, eta_g=0.3)
     log1md = -np.logaddexp(0.0, pair_logits(disc, neg))
 
-    mlp = clone_params(gen.mlp)  # the step updates gen.mlp in place
+    mlp = copy.deepcopy(gen.mlp)  # the step updates gen.mlp in place
 
     def objective(embeddings):
         probe = GraphGenerator(embeddings, mlp)
@@ -792,7 +792,7 @@ def test_graph_step_with_non_finite_block_changes_nothing(step, monkeypatch):
 
         monkeypatch.setattr(advclf.graph, "backward", overflowing_backward)
     before = (disc.embeddings.copy(), disc.bias, gen.embeddings.copy(), gen.mlp)
-    mlp_before = clone_params(gen.mlp)
+    mlp_before = copy.deepcopy(gen.mlp)
     with pytest.raises(TrainingError, match="non-finite gradient"), np.errstate(over="ignore"):
         if step == "pretrain":
             graph_pretrain_step(disc, batch, cfg.eta_d)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from hypothesis import strategies as st
 from advclf.errors import ConfigError, TrainingError
 from advclf.nn import (
     backward,
-    clone_params,
-    finite_difference_grad,
     forward,
     init_mlp,
     sgd_step,
@@ -16,7 +16,14 @@ from advclf.nn import (
     stable_log_one_minus_sigmoid,
     stable_log_sigmoid,
 )
-from helpers import check_backward_vs_fd, sigmoid_two_branch, stack_of
+from helpers import (
+    finite_difference_grad,
+    flatten_param_grads,
+    grad_rel_error,
+    per_net,
+    sigmoid_two_branch,
+    stack_of,
+)
 
 
 def tiny_net():
@@ -76,7 +83,7 @@ def test_stacked_net_matches_each_lone_net(dims, rows):
 def test_finite_difference_on_quadratic():
     # loss = w^2 at w=3 has gradient 6; the oracle itself must be right
     params = [(np.array([[3.0]]), np.zeros(1))]
-    grads = finite_difference_grad(lambda p: float(p[0][0][0, 0] ** 2), params)
+    grads = finite_difference_grad(lambda stack: stack[0][0][:, 0, 0] ** 2, params)
     assert grads[0][0][0, 0] == pytest.approx(6.0, abs=1e-8)
     assert grads[0][1][0] == 0.0
 
@@ -94,13 +101,13 @@ def test_backward_matches_finite_differences(dims):
     batch = rng.standard_normal((7, dims[0]))
     target = rng.standard_normal((7, dims[-1]))
 
-    def loss_and_grads(p):
-        acts = forward(p, batch)
-        diff = acts[-1] - target
-        grads, _ = backward(p, acts, 2.0 * diff)
-        return float(np.sum(diff**2)), grads
+    def loss(stack):
+        return np.sum((forward(stack, per_net(stack, batch))[-1] - target) ** 2, axis=(-2, -1))
 
-    assert check_backward_vs_fd(params, loss_and_grads) < 1e-6
+    acts = forward(params, batch)
+    grads, _ = backward(params, acts, 2.0 * (acts[-1] - target))
+    numeric = finite_difference_grad(loss, params)
+    assert grad_rel_error(flatten_param_grads(grads), flatten_param_grads(numeric)) < 1e-6
 
 
 def test_backward_input_grad_matches_finite_differences():
@@ -140,7 +147,7 @@ def test_sgd_step_signed_rate_in_place():
 def test_sgd_step_validates():
     """A non-finite gradient in any layer, or a missing layer, raises before any layer changes."""
     params = init_mlp((2, 3, 1), np.random.default_rng(0))
-    before = clone_params(params)
+    before = copy.deepcopy(params)
     grads = [(np.ones_like(weight), np.ones_like(bias)) for weight, bias in params]
     grads[-1][1][0] = np.nan
     with pytest.raises(TrainingError):
@@ -176,7 +183,7 @@ def test_forward_is_bitwise_repeatable():
     a = forward(params, batch)[-1]
     b = forward(params, batch)[-1]
     assert np.array_equal(a, b)
-    cloned = clone_params(params)
+    cloned = copy.deepcopy(params)
     assert np.array_equal(forward(cloned, batch)[-1], a)
 
 
