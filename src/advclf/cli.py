@@ -43,7 +43,7 @@ from .graph import (
     split_edges,
     train_graph,
 )
-from .metrics import auc_roc, evaluate_binary
+from .metrics import _class_counts, auc_roc, evaluate_binary
 from .theory import TheoryConfig, fixed_point_residual, minimize_generator
 
 # Published benchmark rows for side-by-side orientation. The upstream
@@ -198,11 +198,6 @@ def _check_out_dirs(opts, config):
                 raise DataError(f"--{other.replace('_', '-')} and --{key.replace('_', '-')} both name {path}")
 
 
-def _class_counts(labels):
-    """The positive and negative counts of labels."""
-    return int(np.count_nonzero(labels == 1)), int(np.count_nonzero(labels == 0))
-
-
 def _trace_summary(trace):
     return {
         "final_d_loss": trace.d_loss[-1] if trace.d_loss else None,
@@ -289,12 +284,10 @@ def cmd_train(args):
         mean, std = column_statistics(data.features, train_rows)
         data.features -= mean
         data.features /= std
-
-    def scores(disc, rows):
-        return predict(disc, data.features[rows])
+    val_features = data.features[val_rows]  # after the standardisation: every checkpoint and the report score it
 
     def val_auc_checkpoint(iteration, disc):
-        return {"iteration": int(iteration), "val_auc": auc_roc(scores(disc, val_rows), val_labels)}
+        return {"iteration": int(iteration), "val_auc": auc_roc(predict(disc, val_features), val_labels)}
 
     resample_seeds = np.random.SeedSequence(opts["seed"]).spawn(2)
     # warm-up-only baselines on resampled training rows; train fits the pretraining-only one itself, first
@@ -315,12 +308,9 @@ def cmd_train(args):
         rows=train_rows,
     )
     models = {"adversarial": adv_disc, **dict(zip(["pretrain_baseline", *baselines], baseline_discs))}
-    evaluations = {}
-    for name, disc in models.items():
-        evaluations[name] = {
-            "validation": asdict(evaluate_binary(scores(disc, val_rows), val_labels)),
-            "test": asdict(evaluate_binary(scores(disc, test_rows), test_labels)),
-        }
+    parts = {"validation": (val_features, val_labels), "test": (data.features[test_rows], test_labels)}
+    evaluations = {name: {part: evaluate_binary(predict(disc, x), labels) for part, (x, labels) in parts.items()}
+                   for name, disc in models.items()}
     train_pos, train_neg = _class_counts(train_labels)
     report = {
         "config": {
@@ -394,7 +384,6 @@ def cmd_graph(args):
     disc, _, trace = train_graph(
         config, graph, train_edges, dim=opts["dim"], gen_hidden=opts["gen_arch"]
     )
-    link_report = link_predict_eval(disc, test_pos, test_neg)
     report = {
         "config": {
             **asdict(config),
@@ -408,7 +397,7 @@ def cmd_graph(args):
             "n_train_edges": len(train_edges),
             "n_test_edges": len(test_pos),
         },
-        "link_prediction": asdict(link_report),
+        "link_prediction": link_predict_eval(disc, test_pos, test_neg),
         "trace_summary": _trace_summary(trace),
         "wall_clock_sec": round(time.monotonic() - started, 3),
     }

@@ -493,7 +493,7 @@ def train_graph(config, graph, train_edges, dim, gen_hidden):
 
 
 def link_predict_eval(disc, test_pos, test_neg):
-    """Round the pair probability at 0.5; accuracy and macro-F1 over edge/non-edge."""
+    """evaluate_binary's report on the pair probabilities, with edges as class 1 and non-edges as class 0."""
     if len(test_pos) == 0 or len(test_neg) == 0:
         raise DataError("empty link prediction test set")
     labels = np.concatenate([np.ones(len(test_pos), dtype=int), np.zeros(len(test_neg), dtype=int)])

@@ -1,10 +1,16 @@
 """Binary classification metrics from confusion counts plus rank-based ROC-AUC."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DataError
+
+
+def _class_counts(labels):
+    """The positive and negative counts of labels; DataError for a label other than 0 or 1."""
+    n_pos, n_neg = int(np.count_nonzero(labels == 1)), int(np.count_nonzero(labels == 0))
+    if n_pos + n_neg != labels.size:
+        raise DataError("labels must be 0 or 1")
+    return n_pos, n_neg
 
 
 def confusion(preds, labels):
@@ -15,6 +21,7 @@ def confusion(preds, labels):
         raise ConfigError(f"shape mismatch: {preds.shape} vs {labels.shape}")
     if preds.size == 0:
         raise ConfigError("empty predictions")
+    _class_counts(labels)
     tp = int(np.count_nonzero((preds == 1) & (labels == 1)))
     fp = int(np.count_nonzero((preds == 1) & (labels == 0)))
     tn = int(np.count_nonzero((preds == 0) & (labels == 0)))
@@ -34,7 +41,9 @@ def auc_roc(scores, labels):
     """Probability that a random positive outscores a random negative, ties at half credit.
 
     Computed from midranks, the sort-based form of counting every
-    positive-negative score pair.
+    positive-negative score pair. The sort need not be stable: every score
+    in a run of ties gets the run's midrank, so the rank sum is the same bit
+    for bit in whatever order the run's members come.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -42,11 +51,10 @@ def auc_roc(scores, labels):
         raise ConfigError("scores and labels differ in length")
     if not np.all(np.isfinite(scores)):
         raise DataError("scores must be finite")
-    n_pos = int(np.count_nonzero(labels == 1))
-    n_neg = int(np.count_nonzero(labels == 0))
+    n_pos, n_neg = _class_counts(labels)
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative label")
-    order = np.argsort(scores, kind="stable")
+    order = np.argsort(scores)
     s = scores[order]
     # runs of equal sorted scores span [start, end); each gets the 1-based midrank
     start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
@@ -72,23 +80,8 @@ def macro_micro_f1(per_class_counts):
     return macro, micro
 
 
-@dataclass
-class MetricsReport:
-    accuracy: float
-    auc: float
-    precision: float
-    recall: float
-    f1: float
-    macro_f1: float
-    micro_f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
 def evaluate_binary(scores, labels):
-    """Threshold scores at 0.5 (>= 0.5 is class 1) and build the full report.
+    """Threshold scores at 0.5 (>= 0.5 is class 1) and build the full report, a dict of plain numbers.
 
     macro_f1/micro_f1 treat class 1 and class 0 as the two one-vs-rest
     problems; with exactly one predicted label per sample micro_f1 equals
@@ -100,16 +93,10 @@ def evaluate_binary(scores, labels):
     tp, fp, tn, fn = confusion(preds, labels)
     precision, recall, f1 = precision_recall_f1(tp, fp, fn)
     macro, micro = macro_micro_f1([(tp, fp, fn), (tn, fn, fp)])
-    return MetricsReport(
-        accuracy=(tp + tn) / (tp + fp + tn + fn),
-        auc=auc_roc(scores, labels),
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        macro_f1=macro,
-        micro_f1=micro,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-    )
+    return {
+        "accuracy": (tp + tn) / (tp + fp + tn + fn),
+        "auc": auc_roc(scores, labels),
+        "precision": precision, "recall": recall, "f1": f1,
+        "macro_f1": macro, "micro_f1": micro,
+        "tp": tp, "fp": fp, "tn": tn, "fn": fn,
+    }

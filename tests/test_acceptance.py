@@ -364,8 +364,8 @@ def test_criterion_07_adversarial_uplift_on_imbalanced_gaussians(_log):
         # the pretraining-only baseline: the same warm-up continued on the adversarial run's batches
         adv, _, _, (base,) = train(config, data, ARCH_PRESETS["shallow"], rows=train_rows)
         test_x, test_y = data.features[test_rows], data.labels[test_rows]
-        auc_adv = evaluate_binary(predict(adv, test_x), test_y).auc
-        auc_base = evaluate_binary(predict(base, test_x), test_y).auc
+        auc_adv = evaluate_binary(predict(adv, test_x), test_y)["auc"]
+        auc_base = evaluate_binary(predict(base, test_x), test_y)["auc"]
         wins += auc_adv >= auc_base
         uplifts.append(auc_adv - auc_base)
     median_uplift = float(np.median(uplifts))
@@ -447,11 +447,11 @@ def test_criterion_09_two_block_link_prediction(_log):
         )
         disc, _, _ = train_graph(config, graph, train_edges, dim=64, gen_hidden=(16,))
         report = link_predict_eval(disc, test_pos, test_neg)
-        accuracies.append(report.accuracy)
-        macro_f1s.append(report.macro_f1)
+        accuracies.append(report["accuracy"])
+        macro_f1s.append(report["macro_f1"])
         oracle = block_oracle_eval(block_sizes, test_pos, test_neg)
-        oracle_accuracies.append(oracle.accuracy)
-        oracle_macro_f1s.append(oracle.macro_f1)
+        oracle_accuracies.append(oracle["accuracy"])
+        oracle_macro_f1s.append(oracle["macro_f1"])
     median_acc = float(np.median(accuracies))
     median_macro = float(np.median(macro_f1s))
     oracle_acc = float(np.median(oracle_accuracies))

@@ -1,5 +1,6 @@
-"""The benchmark's per-layer call counts and imports name advclf functions, its set-up runs, and
-every public advclf function has a caller outside the tests.
+"""The benchmark's per-layer call counts and imports name advclf functions, its set-up runs, each
+workload's report holds the block it scores, and every public advclf function has a caller outside
+the tests.
 
 Its tracer wraps every public function of the measured modules, so a
 deleted or renamed function would leave its metric empty instead of failing.
@@ -12,6 +13,7 @@ import inspect
 import json
 from pathlib import Path
 
+from advclf.cli import main
 from advclf.data import load_csv
 from advclf.graph import load_edge_list, load_node_labels
 from helpers import array_bits, c_reader_only, exact_parse_only
@@ -142,3 +144,26 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     }
     assert sorted(public - called - CALLED_FROM_TESTS_ONLY) == []
     assert CALLED_FROM_TESTS_ONLY <= public - called, "an allowed name is gone or has a caller now"
+
+
+def test_each_workload_quality_path_leads_to_a_metrics_block(tmp_path, capsys):
+    """perfbench reads test_auc and test_accuracy through each workload's quality_path in the report.
+
+    A report that moved or renamed that block would only show in a benchmark
+    run, so each workload's own invocation runs here, cut to one warm-up and
+    one adversarial step.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    inputs = {workload: workload.make_input(0, tmp_path) for workload in workloads.WORKLOADS.values()}
+    assert {inp.argv[0] for inp in inputs.values()} == {"train", "graph"}
+    for workload, inp in inputs.items():
+        argv = inp.argv + ["--pretrain-iters", "1", "--train-iters", "1"]
+        if argv[0] == "graph":
+            argv += ["--label-shuffles", "1"]
+        assert main(argv) == 0, workload.name
+        block = json.loads(capsys.readouterr().out)
+        for key in workload.quality_path:
+            block = block[key]
+        assert {"auc", "accuracy"} <= set(block), workload.name

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from advclf.adversarial import predict, train
 from advclf.cli import (
     ARCH_PRESETS,
     GRAPH_OPTIONS,
@@ -26,7 +27,8 @@ from advclf.cli import (
     main,
     open_fraction,
 )
-from advclf.data import LabeledDataset, save_csv
+from advclf.data import LabeledDataset, SplitSpec, save_csv, split_rows
+from advclf.metrics import auc_roc
 
 OPTION_TABLES = {
     "train": TRAIN_OPTIONS, "graph": GRAPH_OPTIONS, "theory": THEORY_OPTIONS, "synth": SYNTH_OPTIONS,
@@ -187,6 +189,33 @@ def test_train_eval_every_checkpoints(capsys):
     report = json_payload(out)
     assert [c["iteration"] for c in report["checkpoints"]] == [2, 4]
     assert all(0.0 <= c["val_auc"] <= 1.0 for c in report["checkpoints"])
+
+
+@pytest.mark.parametrize("standardize", [[], ["--no-standardize"]], ids=["standardized", "raw"])
+@pytest.mark.parametrize("seed", ["9301", "9302"])
+def test_last_checkpoint_is_the_reported_validation_auc(capsys, monkeypatch, seed, standardize):
+    """With --eval-every dividing --train-iters, the last checkpoint scores the model the report scores.
+
+    Its val_auc equals models.adversarial.validation.auc bit for bit, and
+    both equal the model's AUC on the validation rows of the table as the
+    model saw it, after the standardisation.
+    """
+    trained = {}
+
+    def keep_train(config, data, **kwargs):
+        trained["data"], trained["result"] = data, train(config, data, **kwargs)
+        return trained["result"]
+
+    monkeypatch.setattr("advclf.cli.train", keep_train)
+    argv = small_train_args(**{"--synth-n": "1000", "--eval-every": "5", "--seed": seed}) + standardize
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    report = json_payload(out)
+    assert [c["iteration"] for c in report["checkpoints"]] == [5]
+    data, disc = trained["data"], trained["result"][0]
+    _, val_rows, _ = split_rows(data.labels, SplitSpec(seed=int(seed)))
+    fresh = auc_roc(predict(disc, data.features[val_rows]), data.labels[val_rows])
+    assert report["checkpoints"][-1]["val_auc"] == report["models"]["adversarial"]["validation"]["auc"] == fresh
 
 
 def test_train_negative_eval_every_exits_2(capsys):

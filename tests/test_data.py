@@ -418,7 +418,7 @@ class TestSynth:
         )
         # score by the known discriminative axis; AUC must be near-perfect
         rep = evaluate_binary(1.0 / (1.0 + np.exp(-data.features[:, 0])), data.labels)
-        assert rep.auc > 0.99
+        assert rep["auc"] > 0.99
 
     def test_determinism(self):
         a = synth_gaussian_imbalanced(SynthSpec(n_total=500, imbalance_ratio=5.0, seed=11))

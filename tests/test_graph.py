@@ -824,8 +824,8 @@ def test_train_graph_learns_two_cliques():
     disc, gen, trace = train_graph(cfg, g, intra, dim=8, gen_hidden=(8,))
     assert pair_logits(disc, intra).mean() > pair_logits(disc, inter).mean()
     report = link_predict_eval(disc, intra, inter)
-    assert report.accuracy > 0.9
-    assert report.macro_f1 > 0.9
+    assert report["accuracy"] > 0.9
+    assert report["macro_f1"] > 0.9
     assert len(trace.pretrain_d_loss) == 400
     assert len(trace.d_loss) == 100
 

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,10 +129,17 @@ def test_macro_micro_empty_class_counts_as_zero():
     (auc_roc, ([0.2, np.inf], [1, 0]), DataError, "scores must be finite"),
     (macro_micro_f1, ([],), ConfigError, "need at least one class"),
     (auc_roc, ([], []), DataError, "AUC needs at least one positive"),
+    (auc_roc, ([0.3, 0.1, 0.2], [1, 2, 0]), DataError, "labels must be 0 or 1"),
+    (auc_roc, ([0.3, 0.1, 0.2], [1, np.nan, 0]), DataError, "labels must be 0 or 1"),
+    (confusion, ([1, 0, 1], [1, 0, 2]), DataError, "labels must be 0 or 1"),
+    (confusion, ([1, 0, 1], [1, 0, -1]), DataError, "labels must be 0 or 1"),
+    (confusion, ([1, 0, 1], [1, 0, 0.5]), DataError, "labels must be 0 or 1"),
+    (evaluate_binary, ([0.9, 0.1, 0.8], [1, 0, 2]), DataError, "labels must be 0 or 1"),
 ], ids=["confusion-shapes", "confusion-empty", "auc-lengths", "auc-nan", "auc-inf", "macro-micro-no-class",
-        "auc-empty"])
+        "auc-empty", "auc-label-2", "auc-label-nan", "confusion-label-2", "confusion-label-minus-1",
+        "confusion-label-half", "evaluate-label-2"])
 def test_metric_rejects_input_it_cannot_score(metric, args, kind, message):
-    """A caller's shape fault is a ConfigError; scores that cannot be scored are a DataError."""
+    """A caller's shape fault is a ConfigError; unscorable scores and labels other than 0 or 1 are a DataError."""
     with pytest.raises(kind, match=message):
         metric(*args)
 
@@ -143,20 +148,19 @@ def test_evaluate_binary_report_fields():
     scores = np.array([0.9, 0.6, 0.4, 0.1])
     labels = np.array([1, 0, 1, 0])
     rep = evaluate_binary(scores, labels)
-    assert rep.tp == 1 and rep.fp == 1 and rep.tn == 1 and rep.fn == 1
-    assert rep.accuracy == pytest.approx(0.5)
-    assert rep.auc == pytest.approx(auc_pair_count(scores, labels))
-    d = asdict(rep)
-    assert set(d) == {
+    assert rep["tp"] == 1 and rep["fp"] == 1 and rep["tn"] == 1 and rep["fn"] == 1
+    assert rep["accuracy"] == pytest.approx(0.5)
+    assert rep["auc"] == pytest.approx(auc_pair_count(scores, labels))
+    assert set(rep) == {
         "accuracy", "auc", "precision", "recall", "f1",
         "macro_f1", "micro_f1", "tp", "fp", "tn", "fn",
     }
-    assert all(isinstance(v, (int, float)) for v in d.values())
+    assert all(isinstance(v, (int, float)) for v in rep.values())
 
 
 def test_evaluate_binary_threshold_ties_go_positive():
     rep = evaluate_binary(np.array([0.5, 0.5]), np.array([1, 0]))
-    assert rep.tp == 1 and rep.fp == 1 and rep.tn == 0 and rep.fn == 0
+    assert rep["tp"] == 1 and rep["fp"] == 1 and rep["tn"] == 0 and rep["fn"] == 0
 
 
 def test_micro_f1_equals_accuracy_for_single_label_binary():
@@ -166,4 +170,4 @@ def test_micro_f1_equals_accuracy_for_single_label_binary():
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
     rep = evaluate_binary(scores, labels)
-    assert rep.micro_f1 == pytest.approx(rep.accuracy, abs=1e-12)
+    assert rep["micro_f1"] == pytest.approx(rep["accuracy"], abs=1e-12)
