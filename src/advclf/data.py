@@ -14,7 +14,6 @@ its rows, and the training statistics gather a block of rows at a time.
 import codecs
 import io
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -101,8 +100,8 @@ def load_csv(path, label_column, positive_label):
     loads or fails as that parse alone would have it. A first pass counts
     the rows, so each block's rows are written into the one table the call
     returns; a file whose row count changed between the passes raises
-    DataError. A single-class file loads with a warning since it is usable
-    for evaluation only.
+    DataError. A single-class file loads as any other: the split that
+    training needs rejects it.
     """
     path = Path(path)
     n_rows = _count_rows(path) - 1  # less the header
@@ -136,8 +135,6 @@ def load_csv(path, label_column, positive_label):
         raise DataError(f"{path}: changed while it was read; {at} data rows, not the {n_rows} counted")
     if not at:
         raise DataError(f"{path}: no data rows")
-    if labels.min() == labels.max():
-        warnings.warn(f"{path}: single-class file (all labels {labels[0]}); evaluation use only")
     return LabeledDataset(features, labels)
 
 
@@ -240,8 +237,8 @@ def split_rows(labels, spec):
     parts = ([], [], [])
     for idx in (pos, neg):
         shuffled = rng.permutation(idx)
-        a = min(int(round(spec.train_frac * len(idx))), len(idx))
-        b = min(int(round(spec.val_frac * len(idx))), len(idx) - a)
+        a = int(round(spec.train_frac * len(idx)))
+        b = int(round(spec.val_frac * len(idx)))
         parts[0].append(shuffled[:a])
         parts[1].append(shuffled[a : a + b])
         parts[2].append(shuffled[a + b :])
@@ -258,13 +255,13 @@ def column_statistics(features, rows):
     """The column means of features[rows] and their std floored at STD_FLOOR, gathering few rows at a time.
 
     Both are bit for bit numpy's features[rows].mean(axis=0) and
-    .std(axis=0): numpy sums the columns of a C-ordered table of two or more
-    columns one row after another, so a sum carried into the next block of
-    STATS_BLOCK_ROWS rows as its first row is the same sum. A table of one
-    column, or one not C-ordered, is summed in another order; its rows are
-    gathered at once.
+    .std(axis=0): rows gathered by index come out C-ordered whatever the
+    table's layout, and numpy sums the columns of a C-ordered block of two or
+    more columns one row after another, so a sum carried into the next block
+    of STATS_BLOCK_ROWS rows as its first row is the same sum. A table of one
+    column is summed in another order; its rows are gathered at once.
     """
-    if features.shape[1] == 1 or not features.flags.c_contiguous:
+    if features.shape[1] == 1:
         x = features[rows]
         return x.mean(axis=0), np.maximum(x.std(axis=0), STD_FLOOR)
 

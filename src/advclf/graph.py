@@ -47,7 +47,7 @@ class Graph:
 
     `edges` is a sorted, unique int64 array holding one key lo * n_nodes + hi
     per edge, lo < hi. The constructor builds it from a (k, 2) array or any
-    iterable of (u, v) pairs; only has_edge and pairs read the key layout.
+    iterable of (u, v) pairs; only has_edge, pairs and _draw_non_edges read the key layout.
     """
 
     n_nodes: int
@@ -525,8 +525,6 @@ def _fit_predict_logistic(x_train, y_train, x_test):
 
 def check_probe_settings(y, n_nodes, train_frac, n_shuffles):
     """Raise ConfigError unless node_classification_eval can run; returns the visible node count."""
-    if y.shape[1] < 2:
-        raise ConfigError("need at least two classes")
     if n_shuffles < 1:
         raise ConfigError(f"need at least one label shuffle, got {n_shuffles}")
     if y.shape[0] != n_nodes:

@@ -45,6 +45,12 @@ def run_cli(capsys, argv):
     return code, out, err
 
 
+def fresh_process_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for advclf run in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def json_payload(stdout):
     """Parse the JSON object that ends the command output (tables may precede it)."""
     start = stdout.index("{")
@@ -249,6 +255,47 @@ def test_train_on_csv_written_by_synth(capsys, tmp_path):
     report = json_payload(out)
     assert report["config"]["source"] == str(csv)
     assert report["data"]["n_features"] == 2
+
+
+def test_label_column_and_positive_label_pick_the_labels(capsys, tmp_path):
+    """A 'y' column of yes/no, named by flags or by a config file, trains as a 'label' column of 1/0."""
+    rng = np.random.default_rng(9501)
+    x = rng.standard_normal((300, 3))
+    y = rng.random(300) < 0.2
+    x[y, 0] += 2.0
+
+    def write(path, column, yes, no):
+        rows = [f"{a!r},{yes if lab else no},{b!r},{c!r}" for (a, b, c), lab in zip(x.tolist(), y)]
+        path.write_text(f"f0,{column},f1,f2\n" + "".join(row + "\n" for row in rows))
+        return str(path)
+
+    plain = write(tmp_path / "plain.csv", "label", "1", "0")
+    named = write(tmp_path / "named.csv", "y", "yes", "no")
+    (tmp_path / "run.cfg").write_text("label-column = y\npositive-label = yes\n")
+    common = ["--batch-size", "8", "--pretrain-iters", "10", "--train-iters", "5", "--gen-arch", "4",
+              "--eval-every", "5", "--seed", "9502"]
+    reports = []
+    for argv in (["--data", plain], ["--data", named, "--label-column", "y", "--positive-label", "yes"],
+                 ["--data", named, "--config", str(tmp_path / "run.cfg")]):
+        code, out, err = run_cli(capsys, ["train", *argv, *common])
+        assert code == 0, err
+        report = json_payload(out)
+        del report["config"]["source"], report["wall_clock_sec"]
+        reports.append(report)
+    assert reports[0]["data"]["train_pos"] == round(0.6 * y.sum())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_train_single_class_csv_prints_one_error_line(tmp_path):
+    """A fresh process, so any warning the loader gave would reach stderr beside the error."""
+    csv = tmp_path / "one_class.csv"
+    csv.write_text("x,label\n" + "".join(f"{i}.5,0\n" for i in range(40)))
+    env = fresh_process_env()
+    done = subprocess.run([sys.executable, "-m", "advclf", "train", "--data", str(csv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: stratified split needs >= 4 positive samples, have 0\n"
 
 
 def test_train_split_part_without_a_class_exits_1_before_training(capsys, monkeypatch):
@@ -810,6 +857,22 @@ def test_graph_zero_label_shuffles_exits_2(capsys, tmp_path, monkeypatch):
     assert "argument --label-shuffles: expected an integer >= 1, got '0'" in err
 
 
+def test_failed_allocation_exits_1_with_one_error_line(capsys, tmp_path, monkeypatch):
+    """numpy's MemoryError, as a table too large for memory raises it, is a runtime fault like any other."""
+    message = "Unable to allocate 44.7 GiB for an array with shape (3000000000, 2) and data type float64"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("advclf.cli.train_graph", out_of_memory)
+    edges = tmp_path / "edges.txt"
+    write_clique_edges(edges)
+    code, out, err = run_cli(capsys, ["graph", "--edges", str(edges)] + GRAPH_ARGS)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option,value,code,message", [
     ("--labels", "absent.txt", 1, "no such file"),
     ("--labels", "one_class.txt", 1,
@@ -995,8 +1058,7 @@ def test_graph_stdout_same_with_and_without_the_pin(tmp_path):
         "import sys, types; import advclf.cli as cli;"
         " cli.ctypes.CDLL = lambda name: types.SimpleNamespace(); sys.exit(cli.main(sys.argv[1:]))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = fresh_process_env()
     reports = []
     for launch in (["-m", "advclf"], ["-c", unpinned]):
         done = subprocess.run([sys.executable, *launch, *argv], cwd=tmp_path, env=env,

@@ -87,11 +87,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             load_csv(f, "label", "1")
 
-    def test_single_class_warns(self, tmp_path):
+    def test_single_class_loads_without_a_warning(self, tmp_path):
+        """The split that training needs rejects it; the loader has nothing to add (warnings are errors here)."""
         f = tmp_path / "d.csv"
         f.write_text("x,label\n1.0,1\n2.0,1\n")
-        with pytest.warns(UserWarning, match="single-class"):
-            load_csv(f, "label", "1")
+        data = load_csv(f, "label", "1")
+        np.testing.assert_array_equal(data.labels, [1, 1])
 
     def test_round_trip(self, tmp_path):
         data = small_dataset(n=20, seed=3)
@@ -161,7 +162,7 @@ def csv_outcome(path):
 @settings(max_examples=400, deadline=None)
 @given(text=csv_texts(), block=st.integers(1, 16))
 def test_load_csv_matches_its_cell_by_cell_parse(text, block):
-    """numpy's reader and the per-cell parse load the same bits or raise the same error and warnings.
+    """numpy's reader and the per-cell parse load the same bits or raise the same error.
 
     Read a few bytes at a time, the header can sit past the first block
     and the reader can reject a later block than the first.

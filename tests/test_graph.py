@@ -237,7 +237,7 @@ def edges_outcome(path):
 @settings(max_examples=400, deadline=None)
 @given(text=edge_texts(), block=st.integers(1, 16))
 def test_load_edge_list_matches_its_token_by_token_parse(text, block):
-    """numpy's reader and the per-token parse load the same graph or raise the same error and warnings.
+    """numpy's reader and the per-token parse load the same graph or raise the same error.
 
     Read a few bytes at a time, the reader takes some blocks and rejects others.
     """
@@ -282,7 +282,7 @@ def label_texts(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=label_texts(), block=st.integers(1, 16))
 def test_load_node_labels_matches_its_token_by_token_parse(case, block):
-    """numpy's reader and the per-token parse load the same matrix or raise the same error and warnings.
+    """numpy's reader and the per-token parse load the same matrix or raise the same error.
 
     Read a few bytes at a time, the reader takes some blocks and rejects others.
     """
@@ -349,7 +349,7 @@ def test_label_ids_name_classes_only_by_their_order(tmp_path):
     """Ids 0-3, 1-4 and 1000-1003 on one partition load as one 4-column matrix and probe alike.
 
     An id that no node carries would be a class with no positives, scoring
-    F1 0 in every shuffle; a file with one id has one class, too few to probe.
+    F1 0 in every shuffle; a file with one id has one class, a binary probe.
     """
     rng = np.random.default_rng(11)
     block = np.arange(200) % 4
@@ -365,8 +365,9 @@ def test_label_ids_name_classes_only_by_their_order(tmp_path):
     p.write_text("0 5\n1 5\n")
     y = load_node_labels(p, n_nodes=4)
     assert y.shape == (4, 1)
-    with pytest.raises(ConfigError, match="two classes"):
-        node_classification_eval(emb[:4], y, 0.5, 1, 0)
+    assert node_classification_eval(emb[:4], y, 0.5, 1, 0) == node_classification_eval_per_class(
+        emb[:4], y, 0.5, 1, 0
+    )
 
 
 def test_load_node_labels_node_beyond_count(tmp_path):
@@ -978,9 +979,10 @@ def test_node_classification_matches_per_class_probes_on_planted_blocks():
 
 
 def test_node_classification_validation():
+    """A one-class matrix is a binary probe, scored as the per-class oracle scores it; bad shapes are ConfigErrors."""
     emb = np.zeros((4, 2))
-    with pytest.raises(ConfigError, match="two classes"):
-        node_classification_eval(emb, np.ones((4, 1)), 0.9, 10, 0)
+    y = np.array([[1.0], [0.0], [1.0], [1.0]])
+    assert node_classification_eval(emb, y, 0.5, 3, 0) == node_classification_eval_per_class(emb, y, 0.5, 3, 0)
     with pytest.raises(ConfigError, match="label rows"):
         node_classification_eval(emb, np.eye(2)[[0, 0, 0]], 0.9, 10, 0)
     with pytest.raises(ConfigError, match="train_frac"):
