@@ -532,6 +532,10 @@ def _pin_allocator():
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
+# numpy raises these ValueErrors, not MemoryError, for a shape whose byte count no address can reach
+_UNALLOCATABLE = ("Maximum allowed dimension exceeded", "array is too big;")
+
+
 def main(argv=None):
     _pin_allocator()
     parser = build_parser()
@@ -543,6 +547,11 @@ def main(argv=None):
         return 2
     except (DataError, TrainingError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        if not str(exc).startswith(_UNALLOCATABLE):  # any other ValueError is a fault of the program
+            raise
+        print(f"error: cannot allocate: {exc}", file=sys.stderr)
         return 1
 
 

@@ -873,6 +873,37 @@ def test_failed_allocation_exits_1_with_one_error_line(capsys, tmp_path, monkeyp
     assert err == f"error: {message}\n"
 
 
+HUGE = "100000000000000000000"  # past int64: no array dimension reaches it
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["theory", "--k", HUGE], "Maximum allowed dimension exceeded"),
+    (["synth", "--n", HUGE, "--out", "x.csv"], "array is too big;"),
+    (["train", "--synth", "--synth-dim", HUGE], "Maximum allowed dimension exceeded"),
+    (["train", "--synth", "--synth-n", "300", "--batch-size", HUGE], "Maximum allowed dimension exceeded"),
+], ids=["theory-k", "synth-n", "train-synth-dim", "train-batch-size"])
+def test_size_no_array_can_hold_exits_1_with_one_error_line(capsys, tmp_path, monkeypatch, argv, reason):
+    """numpy raises ValueError, not MemoryError, for such a shape; it is the same runtime fault."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot allocate: {reason}") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_other_value_errors_still_raise(tmp_path, monkeypatch):
+    """Only numpy's two size errors exit 1; any other ValueError is a fault and keeps its traceback."""
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("advclf.cli.train_graph", broken)
+    edges = tmp_path / "edges.txt"
+    write_clique_edges(edges)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["graph", "--edges", str(edges)] + GRAPH_ARGS)
+
+
 @pytest.mark.parametrize("option,value,code,message", [
     ("--labels", "absent.txt", 1, "no such file"),
     ("--labels", "one_class.txt", 1,

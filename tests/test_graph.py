@@ -73,9 +73,10 @@ def path_graph(n=6):
 
 
 def assert_same_pairs(got, expected):
-    """Both are (k, 2) int64 arrays holding the same rows in the same order."""
+    """Both are (k, 2) int64 arrays holding the same rows in the same order; got is C-contiguous."""
     assert got.dtype == expected.dtype == np.int64
     assert got.shape == expected.shape and got.shape[1:] == (2,)
+    assert got.flags.c_contiguous
     assert np.array_equal(got, expected)
 
 
@@ -103,6 +104,22 @@ def test_graph_has_edge_scalar_and_vectorised():
     every = np.array(list(itertools.product(range(5), repeat=2)))
     hits = {(int(a), int(b)) for a, b in every[g.has_edge(every[:, 0], every[:, 1])]}
     assert hits == {(1, 3), (3, 1), (0, 4), (4, 0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5000), k=st.integers(0, 20_000), seed=st.integers(0, 2**32 - 1))
+def test_graph_keys_are_the_sorted_set_of_canonical_pairs(n, k, seed):
+    """Any (k, 2) id array, rows in either order and repeated, gives the sorted set of (min, max) keys."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=k)
+    v = (u + rng.integers(1, n, size=k)) % n  # v != u, and either id may be n - 1
+    pairs = np.column_stack((u, v))
+    if k:
+        pairs = np.vstack([pairs, pairs[rng.integers(0, k, size=k // 4), ::-1]])  # repeats, reversed
+    g = Graph(n_nodes=n, edges=pairs)
+    expected = sorted({min(a, b) * n + max(a, b) for a, b in pairs.tolist()})
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == expected
 
 
 @pytest.mark.parametrize("edges", [[(1, 1)], [(0, 5)], [(-1, 2)]])
@@ -438,11 +455,12 @@ ORACLE_GRAPHS = {
     "two_cliques": lambda: two_cliques(4),  # 12 of 28 pairs are edges: heavy rejection
     "sbm": lambda: sbm_graph([20, 20], 0.4, 0.05, seed=3),
     "path": lambda: path_graph(6),
+    "sbm-4000": lambda: sbm_graph([1000] * 4, 0.005, 0.0002, seed=9901),  # a criterion-15 size
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-@pytest.mark.parametrize("m", [1, 7, 512])
+@pytest.mark.parametrize("m", [1, 7, 512, 1024])
 def test_sample_pair_batch_matches_one_try_loop(name, m):
     """Same pairs and same RNG state as drawing one try at a time, call after call."""
     g = ORACLE_GRAPHS[name]()
@@ -451,9 +469,8 @@ def test_sample_pair_batch_matches_one_try_loop(name, m):
     for _ in range(3):
         batch = sample_pair_batch(train, g, m, rng)
         expected = sample_pair_batch_loop(train, g, m, ref_rng)
-        np.testing.assert_array_equal(batch.pos, expected.pos)
-        np.testing.assert_array_equal(batch.neg, expected.neg)
-        assert batch.neg.dtype == np.int64
+        assert_same_pairs(batch.pos, expected.pos)
+        assert_same_pairs(batch.neg, expected.neg)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
