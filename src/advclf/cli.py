@@ -44,7 +44,7 @@ from .graph import (
     train_graph,
 )
 from .metrics import _class_counts, auc_roc, evaluate_binary
-from .theory import TheoryConfig, fixed_point_residual, minimize_generator
+from .theory import _check_lam, fixed_point_residual, minimize_generator
 
 # Published benchmark rows for side-by-side orientation. The upstream
 # preprocessing and split protocol are unspecified, so reproductions can
@@ -418,10 +418,8 @@ def cmd_graph(args):
 THEORY_OPTIONS = {
     "seed": Option(0, nonnegative_int),
     "k": Option(3, _int_at_least(2), "number of support points"),
-    "lam": Option(TheoryConfig.lam, finite_float, flags=("--lam", "--lambda")),
+    "lam": Option(0.0, finite_float, flags=("--lam", "--lambda")),
     "p_plus": Option("uniform", str, "'uniform', 'random' or comma-separated probabilities"),
-    "max_iters": Option(TheoryConfig.max_iters, positive_int),
-    "tol": Option(TheoryConfig.tol, finite_float),
     "out": Option(help="write the JSON result here as well as stdout"),
 }
 
@@ -445,16 +443,15 @@ def _build_p_plus(spec, k, seed):
 def cmd_theory(args):
     opts = _resolve(args, THEORY_OPTIONS)
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
-    config = _config(TheoryConfig, opts)
+    _check_lam(opts["lam"])
     _check_out_dirs(opts, args.config)
-    result = minimize_generator(p_plus, config)
+    p = minimize_generator(p_plus, opts["lam"])
     payload = {
         "lambda": opts["lam"],
         "k": opts["k"],
         "p_plus": [float(v) for v in p_plus],
-        "minimizer": [float(v) for v in result.p],
-        "residual": fixed_point_residual(result.p, p_plus, opts["lam"]),
-        "converged": result.converged,
+        "minimizer": [float(v) for v in p],
+        "residual": fixed_point_residual(p, p_plus, opts["lam"]),
     }
     _dump_report(payload, opts["out"])
     return 0

@@ -12,18 +12,19 @@ leaves the cost the re-weighting distribution minimizes:
          + sum(p * log(p / (p_plus + p)))
          + lam * sum(p * log p)
 
-with the 0 * log 0 = 0 convention. J is convex on the simplex and is
-minimized here by multiplicative-weight updates. The candidate stationarity
-condition
+with the 0 * log 0 = 0 convention. J is convex on the simplex with one
+minimizer, where every coordinate of its gradient takes one value (the KKT
+condition). Written out, that condition is
 
-    normalize(p^(lam + 1)) = (p + p_plus) / 2
+    normalize(p^(lam + 1)) = (p + p_plus) / 2,
 
-is measured rather than assumed: fixed_point_residual reports its max-norm
-gap, which collapses to p = p_plus when lam = 0.
+and minimize_generator solves it directly: p = p_plus at lam = 0, and for
+lam > 0 a Newton root per coordinate inside a bisection on the common
+gradient level. fixed_point_residual reports the condition's max-norm gap at
+any p; at the minimizer that gap is float rounding, amplified by lam + 1.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,70 +110,61 @@ def generator_objective_grad(p, p_plus, lam):
     return np.log(p / (p_plus + p)) + lam * (1.0 + np.log(p))
 
 
-@dataclass(frozen=True)
-class TheoryConfig:
-    lam: float = 0.0
-    max_iters: int = 200_000
-    tol: float = 1e-12
+def _log_roots(c, log_a, s, r):
+    """Per point, the x = log p with r * x - s * softplus(log p_plus - x) = c.
 
-    def __post_init__(self):
-        _check_lam(self.lam)
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigError("tol must be finite and positive")
+    The left side is the gradient / (1 + lam), less r. It is increasing and
+    concave in x, so Newton's method from the lower bound
+    max(c / r, c + s * log p_plus) of the root rises monotonically to it; it
+    stops when no coordinate rises. Where c / r overflows, x starts, and
+    stays, at the lowest float, whose exp is 0.
+    """
+    x = np.maximum(c + s * log_a, max(c / r, -np.finfo(np.float64).max))
+    while True:
+        t = log_a - x
+        softplus = np.logaddexp(0.0, t)
+        level = r * x - s * softplus
+        slope = r + s * np.exp(t - softplus)
+        x_next = x + np.divide(c - level, slope, out=np.zeros_like(x), where=level < c)
+        if not np.any(x_next > x):
+            return x
+        x = x_next
 
 
-@dataclass
-class MinimizeResult:
-    p: np.ndarray
-    converged: bool
-    iterations: int
-    objective: float
+def minimize_generator(p_plus, lam):
+    """The minimizer of generator_objective over the simplex, solved from its KKT condition.
 
-
-def minimize_generator(p_plus, config):
-    """Minimize generator_objective over the simplex from the uniform start.
-
-    Multiplicative-weight updates p <- normalize(p * exp(-step * grad)), with
-    the step starting at 1 each iteration and halved whenever a trial update
-    would increase the objective, so the objective is non-increasing along
-    the path. Stops once the largest coordinate change of an accepted update
-    falls below config.tol; the converged flag reports whether that happened
-    within max_iters.
+    With s = 1 / (1 + lam) and r = lam * s, the point's log-masses x solve
+    r * x - s * softplus(log p_plus - x) = c for one common level c. The sum
+    of exp(x) rises with c, and the levels of the uniform point bracket the c
+    where it is 1; the bisection stops when the midpoint is one of the ends.
     """
     p_plus = validate_distribution(p_plus)
-    k = p_plus.size
-    p = np.full(k, 1.0 / k)
-    obj = generator_objective(p, p_plus, config.lam)
-    for iterations in range(1, config.max_iters + 1):
-        grad = generator_objective_grad(p, p_plus, config.lam)
-        grad = grad - grad.min()  # additive shifts cancel in the normalization
-        step = 1.0
-        for _ in range(60):
-            q = p * np.exp(-step * grad)
-            q = np.maximum(q / q.sum(), 1e-300)
-            q = q / q.sum()
-            new_obj = generator_objective(q, p_plus, config.lam)
-            if new_obj <= obj:
-                break
-            step *= 0.5
+    _check_lam(lam)
+    if lam == 0.0:
+        return p_plus.copy()  # J = 2 * JS(p, p_plus) - log 4
+    s, r = 1.0 / (1.0 + lam), lam / (1.0 + lam)
+    log_a = np.log(p_plus, out=np.full(p_plus.shape, -np.inf), where=p_plus > 0.0)
+    x_uniform = np.full(p_plus.shape, -math.log(p_plus.size))
+    levels = r * x_uniform - s * np.logaddexp(0.0, log_a - x_uniform)
+    lo, hi = float(levels.min()), float(levels.max())
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.exp(_log_roots(mid, log_a, s, r)).sum() < 1.0:
+            lo = mid
         else:
-            # no representable step decreases the objective: numerically at the minimum
-            return MinimizeResult(p=p, converged=True, iterations=iterations, objective=obj)
-        delta = float(np.max(np.abs(q - p)))
-        p, obj = q, new_obj
-        if delta < config.tol:
-            return MinimizeResult(p=p, converged=True, iterations=iterations, objective=obj)
-    return MinimizeResult(p=p, converged=False, iterations=config.max_iters, objective=obj)
+            hi = mid
+    p = np.exp(_log_roots(mid, log_a, s, r))
+    return p / p.sum()
 
 
 def fixed_point_residual(p, p_plus, lam):
-    """Max-norm gap of normalize(p^(lam+1)) = (p + p_plus) / 2 at the point p."""
+    """Max-norm gap of normalize(p^(lam+1)) = (p + p_plus) / 2 at the point p.
+
+    normalize(p^(lam+1)) is the softmax of (lam + 1) * log p, taken as
+    (p / max p)^(lam+1): its largest entry is 1, so no power underflows
+    the sum to zero or overflows.
+    """
     p, p_plus = _one_support(p, p_plus)
     _check_lam(lam)
-    powered = np.power(p, lam + 1.0)
-    total = float(powered.sum())
-    if total <= 0.0:
-        raise ConfigError("p^(lam+1) sums to zero")
-    return float(np.max(np.abs(powered / total - 0.5 * (p + p_plus))))
+    powered = np.power(p / p.max(), lam + 1.0)
+    return float(np.max(np.abs(powered / powered.sum() - 0.5 * (p + p_plus))))

@@ -37,7 +37,7 @@ from advclf.nn import (
     stable_log_one_minus_sigmoid,
     stable_log_sigmoid,
 )
-from advclf.theory import TheoryConfig
+from advclf.theory import minimize_generator
 
 from helpers import (
     array_bits,
@@ -112,13 +112,11 @@ NAN, INF = float("nan"), float("inf")
     lambda: TrainConfig(gamma=INF),
     lambda: TrainConfig(lam=NAN),
     lambda: TrainConfig(lam=INF),
-    lambda: TheoryConfig(lam=NAN),
-    lambda: TheoryConfig(tol=NAN),
-    lambda: TheoryConfig(tol=INF),
+    lambda: minimize_generator([0.5, 0.5], NAN),
     lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=NAN),
     lambda: SynthSpec(n_total=100, imbalance_ratio=4.0, class_separation=INF),
 ], ids=["train-eta_d-nan", "train-eta_g-inf", "train-gamma-nan", "train-gamma-inf", "train-lam-nan",
-        "train-lam-inf", "theory-lam-nan", "theory-tol-nan", "theory-tol-inf",
+        "train-lam-inf", "theory-lam-nan",
         "synth-class_separation-nan", "synth-class_separation-inf"])
 def test_float_settings_reject_nan_and_inf(make):
     """A library caller is not behind the CLI's finite_float converters; each float field checks itself."""

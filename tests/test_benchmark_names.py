@@ -21,8 +21,10 @@ from helpers import array_bits, c_reader_only, exact_parse_only
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 PERFBENCH = BENCHMARK.parent / "perfbench"
 PACKAGE = BENCHMARK.parent / "src" / "advclf"
-# The theory's closed forms, D* and V(D), kept as what the EG minimizer is measured against
-CALLED_FROM_TESTS_ONLY = {"theory.optimal_discriminator", "theory.value_v"}
+# The theory's closed forms, D*, V(D), the objective J and its gradient: what the minimizer is measured against
+CALLED_FROM_TESTS_ONLY = {
+    "theory.optimal_discriminator", "theory.value_v", "theory.generator_objective", "theory.generator_objective_grad",
+}
 
 
 def test_every_traced_call_count_names_a_public_function():

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
+import argparse
 import contextlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -121,6 +123,27 @@ def test_train_help_names_every_reference_row(capsys):
     assert code == 0
     for name in REFERENCE_ROWS:
         assert name in out
+
+
+def test_readme_names_exactly_the_flags_the_parser_defines():
+    """Each `advclf <command>` section names only that command's flags; the README as a whole names them all."""
+    parser = build_parser()
+    (subs,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    defined = {
+        command: {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+        for command, sub in subs.choices.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def named(text):
+        return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+    sections = re.findall(r"^### `advclf (\w+)`(.*?)(?=^##)", readme, flags=re.M | re.S)
+    assert [command for command, _ in sections] == list(defined)
+    for command, section in sections:
+        assert named(section) <= defined[command], command
+    # pip's flag under Install is the one that is not advclf's
+    assert named(readme) - {"--no-build-isolation"} == set().union(*defined.values())
 
 
 def test_train_requires_exactly_one_source(capsys, tmp_path):
@@ -408,7 +431,7 @@ def test_config_file_bad_value(capsys, tmp_path):
     (["graph", "--edges", "e.txt", "--dim", "1.5"], "argument --dim: expected an integer >= 1, got '1.5'"),
     (["graph", "--edges", "e.txt", "--test-frac", "half"],
      "argument --test-frac: expected a number strictly between 0 and 1, got 'half'"),
-    (["theory", "--tol", "small"], "argument --tol: expected a finite number, got 'small'"),
+    (["theory", "--lam", "small"], "argument --lam/--lambda: expected a finite number, got 'small'"),
     (["train", "--synth", "--config", "seed = x"],
      "error: config key seed: expected an integer >= 0, got 'x'"),
     (["graph", "--edges", "e.txt", "--config", "label-shuffles = many"],
@@ -428,8 +451,7 @@ def test_config_file_bad_value(capsys, tmp_path):
      "error: config key synth_dim: expected an integer >= 1, got '0'"),
     (["theory", "--k", "1"], "argument --k: expected an integer >= 2, got '1'"),
     (["theory", "--k", "many"], "argument --k: expected an integer >= 2, got 'many'"),
-    (["theory", "--config", "max-iters = 0"],
-     "error: config key max_iters: expected an integer >= 1, got '0'"),
+    (["theory", "--config", "k = 1"], "error: config key k: expected an integer >= 2, got '1'"),
     (["synth", "--out", "x.csv", "--n", "2"], "argument --n: expected an integer >= 3, got '2'"),
     (["synth", "--out", "x.csv", "--config", "dim = two"],
      "error: config key dim: expected an integer >= 1, got 'two'"),
@@ -709,8 +731,7 @@ def test_theory_lambda_zero_recovers_target(capsys):
     code, out, _ = run_cli(capsys, ["theory", "--k", "3", "--lam", "0", "--p-plus", "0.7,0.2,0.1"])
     assert code == 0
     payload = json_payload(out)
-    assert set(payload) == {"lambda", "k", "p_plus", "minimizer", "residual", "converged"}
-    assert payload["converged"] is True
+    assert set(payload) == {"lambda", "k", "p_plus", "minimizer", "residual"}
     assert payload["residual"] < 1e-4
     np.testing.assert_allclose(payload["minimizer"], [0.7, 0.2, 0.1], atol=1e-4)
 
@@ -740,17 +761,19 @@ def test_theory_random_p_plus_seeded(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["theory", "--lam", "-1"],
+        ["theory", "--lam", "-1", "--out", "out"],
         ["theory", "--k", "3", "--p-plus", "0.5,x,0.2"],
         ["theory", "--k", "3", "--p-plus", "0.5,0.5"],
         ["theory", "--k", "2", "--p-plus", "0.9,-0.1"],
         ["theory", "--k", "2", "--p-plus", "0.9,0.5"],
     ],
 )
-def test_theory_bad_inputs_exit_2(capsys, argv):
+def test_theory_bad_inputs_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("p_plus", ["nan,0.5,0.5", "0.5,0.5,nan"])
@@ -766,6 +789,19 @@ def test_theory_out_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, ["theory", "--k", "2", "--out", str(dest)])
     assert code == 0
     assert json.loads(dest.read_text()) == json_payload(out)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["theory", "--lam", lam] for lam in ("0", "5e-324", "1e-300", "2000", "1e6", "1e300", "1.7e308")),
+    ["theory", "--k", "1000", "--lam", "1e308"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_theory_runs_at_every_finite_lambda(capsys, argv):
+    """0.5^2001 underflows to 0, and lam * log p overflows at lam 1e308; neither may stop the run or warn."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    p = np.asarray(json_payload(out)["minimizer"])
+    assert np.all(np.isfinite(p)) and abs(float(p.sum()) - 1.0) <= 1e-12
+
 
 
 # --- graph subcommand ---
@@ -787,7 +823,7 @@ GRAPH_ARGS = [
     small_train_args(**{"--eta-d": "nan", "--out-report": "out"}),
     small_train_args(**{"--lam": "nan", "--out-report": "out"}),
     small_train_args(**{"--gamma": "nan", "--out-report": "out"}),
-    ["theory", "--tol", "nan", "--out", "out"],
+    ["theory", "--lam", "nan", "--out", "out"],
 ])
 def test_non_finite_float_setting_exits_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -1057,7 +1093,7 @@ def test_arch_presets_echoed(capsys):
 # --- allocator pin ---
 
 
-THEORY_ARGV = ["theory", "--k", "3", "--lam", "0.1", "--max-iters", "200"]
+THEORY_ARGV = ["theory", "--k", "3", "--lam", "0.1"]
 
 
 def test_main_pins_both_malloc_thresholds(capsys, monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from advclf.errors import ConfigError
 from advclf.theory import (
-    TheoryConfig,
     fixed_point_residual,
     generator_objective,
     generator_objective_grad,
@@ -92,9 +91,14 @@ def test_distributions_on_two_supports_raise(call, other):
 
 
 @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
-@pytest.mark.parametrize("function", [generator_objective, generator_objective_grad, fixed_point_residual])
+@pytest.mark.parametrize("function", [
+    generator_objective,
+    generator_objective_grad,
+    fixed_point_residual,
+    lambda p, p_plus, lam: minimize_generator(p_plus, lam),
+], ids=["generator_objective", "generator_objective_grad", "fixed_point_residual", "minimize_generator"])
 def test_lam_outside_its_range_raises(function, lam):
-    """Every function of p, p_plus and lam rejects what TheoryConfig rejects, with its message."""
+    """Every function of lam rejects a lam outside [0, inf), with one message."""
     with pytest.raises(ConfigError, match=r"^lam must be finite and >= 0$"):
         function([0.5, 0.5], [0.3, 0.7], lam)
 
@@ -209,30 +213,18 @@ def test_objective_grad_needs_positive_p():
 # --- solver ---
 
 
-def test_theory_config_validation():
-    with pytest.raises(ConfigError):
-        TheoryConfig(lam=-1.0)
-    with pytest.raises(ConfigError):
-        TheoryConfig(max_iters=0)
-    with pytest.raises(ConfigError):
-        TheoryConfig(tol=-1e-9)
-
-
 def test_minimizer_recovers_target_at_lambda_zero():
-    for p_plus in ([0.7, 0.2, 0.1], [0.4, 0.1, 0.3, 0.2]):
-        p_plus = np.asarray(p_plus)
-        res = minimize_generator(p_plus, TheoryConfig(lam=0.0))
-        assert res.converged
-        assert tv(res.p, p_plus) < 1e-6
-        assert res.objective == pytest.approx(-LOG4, abs=1e-9)
-        assert fixed_point_residual(res.p, p_plus, 0.0) < 1e-6
+    for p_plus in ([0.7, 0.2, 0.1], [0.4, 0.1, 0.3, 0.2], [0.5, 0.0, 0.5]):
+        p = minimize_generator(p_plus, 0.0)
+        np.testing.assert_array_equal(p, p_plus)
+        assert generator_objective(p, p_plus, 0.0) == pytest.approx(-LOG4, abs=1e-15)
+        assert fixed_point_residual(p, p_plus, 0.0) < 1e-15
 
 
 def test_uniform_target_gives_uniform_minimizer():
     k = 4
     u = np.full(k, 0.25)
-    res = minimize_generator(u, TheoryConfig(lam=0.7))
-    assert tv(res.p, u) < 1e-9
+    assert tv(minimize_generator(u, 0.7), u) < 1e-15
 
 
 def test_residual_identity_at_lambda_zero():
@@ -245,30 +237,7 @@ def test_residual_identity_at_lambda_zero():
 
 def test_residual_small_at_minimum_with_entropy():
     p_plus = np.array([0.7, 0.2, 0.1])
-    res = minimize_generator(p_plus, TheoryConfig(lam=0.1, tol=1e-13))
-    assert fixed_point_residual(res.p, p_plus, 0.1) < 1e-8
-
-
-def test_solver_path_is_monotone_on_the_simplex():
-    """The solver is deterministic, so the run cut at max_iters = n is the path's n-th point."""
-    p_plus = np.array([0.6, 0.3, 0.1])
-    full = minimize_generator(p_plus, TheoryConfig(lam=0.2))
-    assert full.iterations >= 1
-    path = [
-        minimize_generator(p_plus, TheoryConfig(lam=0.2, max_iters=n)) for n in range(1, full.iterations + 1)
-    ]
-    objs = [generator_objective(np.full(3, 1.0 / 3.0), p_plus, 0.2)] + [res.objective for res in path]
-    assert all(b <= a + 1e-15 for a, b in zip(objs, objs[1:]))
-    for res in path:
-        assert np.all(res.p >= 0.0)
-        assert float(res.p.sum()) == pytest.approx(1.0, abs=1e-9)
-    assert objs[-1] == pytest.approx(full.objective)
-
-
-def test_solver_path_absent_by_default():
-    res = minimize_generator(np.array([0.5, 0.5]), TheoryConfig())
-    assert not hasattr(res, "path")
-    assert res.iterations >= 1
+    assert fixed_point_residual(minimize_generator(p_plus, 0.1), p_plus, 0.1) < 1e-8
 
 
 def grid_search_objective(p_plus, lam, resolution):
@@ -299,10 +268,10 @@ def grid_search_objective(p_plus, lam, resolution):
 
 def test_solver_agrees_with_grid_search():
     p_plus = np.array([0.7, 0.2, 0.1])
-    res = minimize_generator(p_plus, TheoryConfig(lam=0.1))
+    p = minimize_generator(p_plus, 0.1)
     grid_p, grid_obj = grid_search_objective(p_plus, 0.1, 0.01)
-    assert res.objective <= grid_obj + 1e-12  # the continuous solver can only do better
-    assert tv(res.p, grid_p) < 0.02
+    assert generator_objective(p, p_plus, 0.1) <= grid_obj + 1e-12  # the continuous solver can only do better
+    assert tv(p, grid_p) < 0.02
 
 
 def test_residual_input_validation():
@@ -312,6 +281,71 @@ def test_residual_input_validation():
         fixed_point_residual([0.5, 0.5], [0.5, 0.5], -0.5)
 
 
-def test_residual_rejects_a_power_that_underflows_to_zero():
-    with pytest.raises(ConfigError, match=r"^p\^\(lam\+1\) sums to zero$"):
-        fixed_point_residual([0.5, 0.5], [0.5, 0.5], 2000.0)
+def test_residual_holds_where_the_plain_power_underflows():
+    """0.5^2001 is 0 in float64; normalize(p^(lam+1)) must not divide by that."""
+    assert fixed_point_residual([0.5, 0.5], [0.5, 0.5], 2000.0) == 0.0
+
+
+# --- the minimizer at the extremes of float64 ---
+
+
+EXTREME_LAMS = [5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.01, 1.0, 100.0, 1e3, 1e6, 1e12, 1e300, 1.7e308]
+
+
+def extreme_targets():
+    """Dirichlet(0.3) targets for k in {1, 2, 3, 50, 1000}, and for k >= 2 one with a third of its points at zero."""
+    rng = np.random.default_rng(20261022)
+    for k in (1, 2, 3, 50, 1000):
+        yield f"k={k}", rng.dirichlet(np.full(k, 0.3))
+        if k >= 2:
+            with_zeros = rng.dirichlet(np.ones(k))
+            with_zeros[: max(1, k // 3)] = 0.0
+            yield f"k={k}-zeros", with_zeros / with_zeros.sum()
+
+
+@pytest.mark.parametrize("lam", EXTREME_LAMS)
+def test_minimizer_meets_its_kkt_condition_at_every_scale(lam):
+    """Equal gradient on every point the minimizer weights, to rounding, with no numpy warning on the way."""
+    for name, p_plus in extreme_targets():
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            p = minimize_generator(p_plus, lam)
+        assert np.all(np.isfinite(p)), name
+        assert abs(float(p.sum()) - 1.0) <= 1e-12, name
+        held = p > 0.0
+        assert np.all(p_plus[~held] == 0.0), f"{name}: only a zero target point may underflow to 0"
+        with np.errstate(over="ignore"):  # lam * (1 + log p) leaves the floats at lam near 1.7e308
+            grad = generator_objective_grad(p[held], p_plus[held], lam)
+        grad = grad[np.isfinite(grad)]
+        if grad.size:
+            spread = float(grad.max() - grad.min()) / (1.0 + lam)
+            assert spread <= 1e-13, f"{name}: relative KKT spread {spread:.2e}"
+        if lam <= 1e3:  # the residual amplifies rounding by lam + 1
+            assert fixed_point_residual(p, p_plus, lam) <= 1e-12, name
+
+
+def test_minimizer_is_a_minimum_along_every_direction():
+    """J(p + t u) >= J(p) for random zero-sum u, at steps that keep p + t u on the simplex."""
+    rng = np.random.default_rng(20261023)
+    for _ in range(40):
+        k = int(rng.integers(2, 9))
+        lam = float(rng.choice([0.0, 0.01, 0.3, 1.0, 10.0, 100.0]))
+        p_plus = rng.dirichlet(np.ones(k))
+        p = minimize_generator(p_plus, lam)
+        j = generator_objective(p, p_plus, lam)
+        for _ in range(10):
+            u = rng.standard_normal(k)
+            u -= u.mean()
+            for scale in (0.5, 1e-3):
+                t = scale * float(p.min()) / float(np.abs(u).max())
+                q = p + t * u
+                assert generator_objective(q / q.sum(), p_plus, lam) >= j - 1e-15 * (1.0 + abs(j))
+
+
+def test_tiny_lambda_lands_on_the_target():
+    """lam = 1e-12 goes through the Newton-bisection path, not the lam = 0 shortcut."""
+    rng = np.random.default_rng(20261024)
+    for k in (2, 5, 50):
+        p_plus = rng.dirichlet(np.ones(k))
+        p = minimize_generator(p_plus, 1e-12)
+        assert not np.array_equal(p, p_plus)
+        assert tv(p, p_plus) < 1e-9
