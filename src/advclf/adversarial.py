@@ -56,6 +56,7 @@ from .nn import (
     stable_log_one_minus_sigmoid,
     stable_log_sigmoid,
 )
+from .theory import _check_lam
 
 
 @dataclass
@@ -87,8 +88,7 @@ class TrainConfig:
             self.gamma = 1.0 / self.batch_size
         if not 0.0 <= self.gamma < math.inf:
             raise ConfigError("gamma must be finite and >= 0")
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError("lam must be finite and >= 0")
+        _check_lam(self.lam)
 
 
 @dataclass
@@ -141,9 +141,8 @@ def generator_batch_weights(gen, negatives):
 
     generator_step takes the activations, so one forward serves an iteration.
     """
-    negatives = np.asarray(negatives, dtype=np.float64)
-    if negatives.ndim != 2 or negatives.shape[0] == 0:
-        raise ConfigError("negatives must be a nonempty 2-d batch")
+    if len(negatives) == 0:  # forward checks the shape
+        raise ConfigError("negatives must be a nonempty batch")
     acts = forward(gen, negatives)
     return _normalized_weights(acts[-1][:, 0])[0], acts
 

@@ -265,12 +265,11 @@ TRAIN_OPTIONS = {
 }
 
 
-def cmd_train(args):
-    opts = _resolve(args, TRAIN_OPTIONS)
+def cmd_train(opts, config_path):
     if bool(opts["data"]) == bool(opts["synth"]):
         raise ConfigError("provide exactly one of --data or --synth")
     config = _config(TrainConfig, opts)
-    _check_out_dirs(opts, args.config)
+    _check_out_dirs(opts, config_path)
     started = time.monotonic()
     if opts["synth"]:
         data = synth_gaussian_imbalanced(_synth_spec(opts, "synth_"))
@@ -315,8 +314,7 @@ def cmd_train(args):
     report = {
         "config": {
             **asdict(config),
-            **{k: opts[k] for k in ("standardize", "eval_every")},
-            "gen_arch": list(opts["gen_arch"]),
+            **{k: opts[k] for k in ("standardize", "eval_every", "gen_arch")},
             "source": opts["data"] or {
                 key: opts[key] for key in ("synth_n", "synth_ir", "synth_dim", "synth_sep")
             },
@@ -366,12 +364,11 @@ GRAPH_OPTIONS = {
 }
 
 
-def cmd_graph(args):
-    opts = _resolve(args, GRAPH_OPTIONS)
+def cmd_graph(opts, config_path):
     if not opts["edges"]:
         raise ConfigError("--edges is required")
     config = _config(TrainConfig, opts)
-    _check_out_dirs(opts, args.config)
+    _check_out_dirs(opts, config_path)
     started = time.monotonic()
     graph = load_edge_list(opts["edges"])
     train_edges, test_pos, test_neg = split_edges(graph, opts["test_frac"], opts["seed"])
@@ -387,8 +384,7 @@ def cmd_graph(args):
     report = {
         "config": {
             **asdict(config),
-            **{k: opts[k] for k in ("dim", "test_frac")},
-            "gen_arch": list(opts["gen_arch"]),
+            **{k: opts[k] for k in ("dim", "test_frac", "gen_arch")},
             "edges": opts["edges"],
         },
         "graph": {
@@ -440,11 +436,10 @@ def _build_p_plus(spec, k, seed):
     return values / values.sum()
 
 
-def cmd_theory(args):
-    opts = _resolve(args, THEORY_OPTIONS)
+def cmd_theory(opts, config_path):
     p_plus = _build_p_plus(opts["p_plus"], opts["k"], opts["seed"])
     _check_lam(opts["lam"])
-    _check_out_dirs(opts, args.config)
+    _check_out_dirs(opts, config_path)
     p = minimize_generator(p_plus, opts["lam"])
     payload = {
         "lambda": opts["lam"],
@@ -467,12 +462,11 @@ SYNTH_OPTIONS = {
 }
 
 
-def cmd_synth(args):
-    opts = _resolve(args, SYNTH_OPTIONS)
+def cmd_synth(opts, config_path):
     if not opts["out"]:
         raise ConfigError("--out is required")
     spec = _synth_spec(opts, "")
-    _check_out_dirs(opts, args.config)
+    _check_out_dirs(opts, config_path)
     data = synth_gaussian_imbalanced(spec)
     save_csv(opts["out"], data)
     n_pos, n_neg = _class_counts(data.labels)
@@ -501,7 +495,7 @@ def build_parser():
             if option.const is not None:
                 kind = {"action": "store_const", "const": option.const}
             sub.add_argument(*flags, dest=key, help=option.help, **kind)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, table=table)
     return parser
 
 
@@ -538,7 +532,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_resolve(args, args.table), args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

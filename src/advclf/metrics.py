@@ -88,7 +88,6 @@ def evaluate_binary(scores, labels):
     accuracy.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     preds = (scores >= 0.5).astype(int)
     tp, fp, tn, fn = confusion(preds, labels)
     precision, recall, f1 = precision_recall_f1(tp, fp, fn)

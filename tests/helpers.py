@@ -19,7 +19,7 @@ from advclf.adversarial import (
     init_generator,
     pretrain_step,
 )
-from advclf.data import LabeledDataset
+from advclf.data import STD_FLOOR, LabeledDataset
 from advclf.errors import ConfigError, DataError, TrainingError
 from advclf.graph import (
     Graph,
@@ -457,7 +457,11 @@ def predict_logistic_head(params, x):
 
 
 def node_classification_eval_per_class(embeddings, y, train_frac, n_shuffles, seed):
-    """node_classification_eval with a lone head per class; a class with no visible positive predicts 0."""
+    """node_classification_eval with a lone head per class; a class with no visible positive predicts 0.
+
+    The columns are standardised by numpy's mean and std of the visible rows,
+    the std floored at STD_FLOOR.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     n = emb.shape[0]
     n_visible = check_probe_settings(y, n, train_frac, n_shuffles)
@@ -465,12 +469,14 @@ def node_classification_eval_per_class(embeddings, y, train_frac, n_shuffles, se
     for child in np.random.SeedSequence(seed).spawn(n_shuffles):
         perm = np.random.default_rng(child).permutation(n)
         visible, hidden = perm[:n_visible], perm[n_visible:]
+        mean, std = emb[visible].mean(axis=0), np.maximum(emb[visible].std(axis=0), STD_FLOOR)
+        x_vis, x_hid = (emb[visible] - mean) / std, (emb[hidden] - mean) / std
         counts = []
         for c in range(y.shape[1]):
             if y[visible, c].sum() == 0:
                 pred = np.zeros(len(hidden), dtype=int)
             else:
-                pred = predict_logistic_head(fit_logistic_head(emb[visible], y[visible, c]), emb[hidden])
+                pred = predict_logistic_head(fit_logistic_head(x_vis, y[visible, c]), x_hid)
             tp, fp, _, fn = confusion(pred, y[hidden, c].astype(int))
             counts.append((tp, fp, fn))
         macro, micro = macro_micro_f1(counts)

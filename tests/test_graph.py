@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
@@ -126,6 +127,33 @@ def test_graph_keys_are_the_sorted_set_of_canonical_pairs(n, k, seed):
 def test_graph_rejects_pairs_outside_the_node_range(edges):
     with pytest.raises(DataError, match="distinct nodes"):
         Graph(n_nodes=5, edges=edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), k=st.integers(0, 300), q=st.integers(1, 200), ndim=st.sampled_from([0, 1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_has_edge_answers_as_the_pair_set(n, k, q, ndim, seed):
+    """has_edge(u, v) is whether (min, max) is a row of g.pairs(), for any query shape and order.
+
+    The queries repeat and come unsorted: edges in either order, random ids
+    in -n..2n-1, and (lo - 1, hi + n) for an edge (lo, hi), which lies
+    outside the graph but has the edge's key. k = 0 gives an edgeless graph.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=k)
+    g = Graph(n_nodes=n, edges=np.column_stack((u, (u + rng.integers(1, n, size=k)) % n)))
+    edges = g.pairs()
+    pool = np.vstack([edges, edges[:, ::-1], edges + [-1, n], rng.integers(-n, 2 * n, size=(q, 2))])
+    shape = {0: (), 1: (q,), 2: (q, 3)}[ndim]
+    queries = pool[rng.integers(0, len(pool), size=shape)]
+    u, v = queries[..., 0], queries[..., 1]
+    if ndim == 0:
+        u, v = int(u), int(v)
+    got = g.has_edge(u, v)
+    truth = pair_set(edges)
+    want = [(min(a, b), max(a, b)) in truth for a, b in zip(np.ravel(u).tolist(), np.ravel(v).tolist())]
+    assert np.shape(got) == shape and np.asarray(got).dtype == bool
+    assert np.ravel(got).tolist() == want
 
 
 def test_edgeless_graph():
@@ -1009,6 +1037,21 @@ def test_node_classification_validation():
 def test_probe_settings_need_a_label_shuffle():
     with pytest.raises(ConfigError, match=r"^need at least one label shuffle, got 0$"):
         check_probe_settings(np.eye(2)[[0, 1, 0, 1]], 4, 0.5, 0)
+
+
+def test_node_classification_reads_content_not_scale():
+    """The table scaled by 2**-3 or 2**5 gives the probe report byte for byte as unscaled.
+
+    Powers of two scale the visible rows' means and stds exactly, so the
+    standardised columns the heads see are the same bits.
+    """
+    rng = np.random.default_rng(14021)
+    y = np.eye(3)[np.arange(300) % 3]
+    emb = 0.05 * (np.hstack([y, np.zeros((300, 3))]) + 0.6 * rng.standard_normal((300, 6))) + 0.3
+    reports = [json.dumps(node_classification_eval(emb * scale, y, 0.5, n_shuffles=3, seed=14022))
+               for scale in (1.0, 2.0**-3, 2.0**5)]
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["micro_f1_mean"] > 0.5
 
 
 def test_node_classification_deterministic():
